@@ -7,8 +7,6 @@ of astronomically large degree are never expanded.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -104,7 +102,8 @@ def vandermonde_exponents(support: Sequence) -> tuple[int, ...]:
     ints = [v // g for v in ints]
     if ints[0] < 0:
         ints = [-v for v in ints]
-    assert sum(ints) == 0
+    if sum(ints) != 0:
+        raise ArithmeticError("Vandermonde exponents do not sum to zero")
     return tuple(ints)
 
 
@@ -191,41 +190,24 @@ def _normalized_supports(k: int, box: int):
         yield (0,) + rest
 
 
-def _smooth_filter(supports, primes):
-    out = []
-    for sup in supports:
-        exps = vandermonde_exponents(sup)
-        if all(not isinstance(factor_over_primes(r, primes), SmoothnessFailure) for r in exps):
-            out.append(BelyiTuple(sup, exps))
-    return out
-
-
 def search_smooth_tuples(
     k: int,
     primes: Iterable[int],
     box: int,
     budget: Optional[int] = None,
-    threads: Optional[int] = None,
 ) -> list[BelyiTuple]:
     """Enumerate normalized supports in the box and keep the smooth ones.
 
-    Deterministic output order (lexicographic in the support) no matter
-    how many worker threads run; RAMCALC_THREADS caps parallelism.
+    Output order is lexicographic in the support.
     """
     if not 3 <= k <= 7:
         raise ValueError("support size must be between 3 and 7")
     primes = sorted(set(primes))
-    supports = list(_normalized_supports(k, box))
-    if threads is None:
-        threads = int(os.environ.get("RAMCALC_THREADS", "1"))
-    if threads > 1 and len(supports) > 64:
-        chunk = (len(supports) + threads - 1) // threads
-        cells = [supports[i:i + chunk] for i in range(0, len(supports), chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pieces = list(pool.map(lambda cell: _smooth_filter(cell, primes), cells))
-        results = [t for piece in pieces for t in piece]
-    else:
-        results = _smooth_filter(supports, primes)
+    results = []
+    for sup in _normalized_supports(k, box):
+        exps = vandermonde_exponents(sup)
+        if all(not isinstance(factor_over_primes(r, primes), SmoothnessFailure) for r in exps):
+            results.append(BelyiTuple(sup, exps))
     if budget is not None:
         results = results[:budget]
     return results

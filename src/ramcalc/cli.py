@@ -21,9 +21,14 @@ from .belyi import (
     vandermonde_exponents,
     verify_belyi,
 )
-from .contract import AlgebraicPointSet, StrategyExhausted, contract_to_rational
+from .contract import (
+    AlgebraicPointSet,
+    HeightCapExceeded,
+    StrategyExhausted,
+    contract_to_rational,
+)
 from .cover import rh_genus, standard_projection_profile, verify_certificate
-from .exact import QQ, Poly
+from .exact import Poly, _from_sympy
 from .manifest import (
     CERT_HEADER,
     CHAIN_HEADER,
@@ -273,7 +278,7 @@ def cmd_belyi_verify(args) -> int:
 
 def cmd_belyi_search(args) -> int:
     primes = _parse_primes(args.primes)
-    found = search_smooth_tuples(args.k, primes, args.box, threads=args.threads)
+    found = search_smooth_tuples(args.k, primes, args.box)
     payload = {
         "k": args.k,
         "primes": list(primes),
@@ -301,17 +306,18 @@ def cmd_belyi_search(args) -> int:
 
 def _parse_poly_expr(s: str) -> Poly:
     import sympy
+    from sympy.polys.polyerrors import BasePolynomialError
 
     z = sympy.Symbol("z")
     try:
         expr = sympy.sympify(s, locals={"z": z}, rational=True)
-        sp = sympy.Poly(expr, z)
-    except (sympy.SympifyError, sympy.PolynomialError, TypeError) as exc:
+        # domain QQ rejects irrational coefficients and other symbols
+        sp = sympy.Poly(expr, z, domain="QQ")
+    except (sympy.SympifyError, BasePolynomialError, TypeError) as exc:
         raise UsageError(f"cannot parse polynomial {s!r}: {exc}")
-    coeffs = [Fraction(str(c)) for c in reversed(sp.all_coeffs())]
-    if len(coeffs) < 2:
+    if sp.degree() < 1:
         raise UsageError(f"polynomial {s!r} is constant")
-    return Poly(QQ, coeffs)
+    return _from_sympy(sp)
 
 
 def cmd_contract(args) -> int:
@@ -319,12 +325,12 @@ def cmd_contract(args) -> int:
     S = AlgebraicPointSet.from_polys(polys)
     try:
         result = contract_to_rational(S, height_cap=args.height_cap)
-    except StrategyExhausted as exc:
-        _emit(
-            {"passed": False, "error": f"strategy exhausted after {exc.attempts} steps"},
-            [f"strategy exhausted after {exc.attempts} steps"],
-            args.json,
-        )
+    except (StrategyExhausted, HeightCapExceeded) as exc:
+        if isinstance(exc, StrategyExhausted):
+            message = f"strategy exhausted after {exc.attempts} steps"
+        else:
+            message = str(exc)
+        _emit({"passed": False, "error": message}, [message], args.json)
         return EXIT_FAIL
     payload = {
         "passed": True,
@@ -580,7 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--k", type=int, default=4, help="support size")
     b.add_argument("--primes", required=True)
     b.add_argument("--box", type=int, required=True, help="max absolute entry")
-    b.add_argument("--threads", type=int, default=None)
     common(b)
     b.set_defaults(func=cmd_belyi_search)
 
@@ -639,6 +644,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # exact results can run to millions of digits; Pythons that limit
+    # integer-string conversion (4300 digits by default) lift it here
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is not None:
+        set_limit(0)
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .exact import Poly, QQ, resultant, solve_linear_system, squarefree_part
+from .exact import Poly, QQ, _from_sympy, _to_sympy, resultant, solve_linear_system, squarefree_part
 from .rmap import RationalMap, INF
 
 
@@ -102,17 +102,10 @@ def _irreducible_factors(p: Poly) -> list:
         return []
     if p.degree == 1:
         return [p]
-    import sympy
-
-    x = sympy.Symbol("x")
-    expr = sum(sympy.Rational(int(c.numerator), int(c.denominator)) * x ** i for i, c in enumerate(p.coeffs))
-    out = []
-    _, factors = sympy.Poly(expr, x, domain="QQ").factor_list()
-    for fac, mult in factors:
-        assert mult == 1
-        coeffs = [Fraction(c.p, c.q) for c in reversed(fac.monic().all_coeffs())]
-        out.append(Poly(QQ, coeffs))
-    return out
+    _, factors = _to_sympy(p).factor_list()
+    if any(mult != 1 for _, mult in factors):
+        raise ArithmeticError("squarefree part has a repeated factor")
+    return [_from_sympy(fac.monic()) for fac, _ in factors]
 
 
 def split_degree(m: int):

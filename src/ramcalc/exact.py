@@ -726,7 +726,20 @@ class NumberFieldElement:
 
 
 # ---------------------------------------------------------------------------
-# irreducibility over Q (small degrees)
+# the bridge to sympy, and irreducibility over Q (small degrees)
+
+
+def _to_sympy(p: Poly):
+    """p as a sympy Poly in x over QQ."""
+    import sympy
+
+    coeffs = [sympy.Rational(int(c.numerator), int(c.denominator)) for c in reversed(p.coeffs)]
+    return sympy.Poly(coeffs, sympy.Symbol("x"), domain="QQ")
+
+
+def _from_sympy(sp) -> Poly:
+    """A sympy Poly over ZZ or QQ back as a Poly over QQ."""
+    return Poly(QQ, [Fraction(int(c.p), int(c.q)) for c in reversed(sp.all_coeffs())])
 
 
 def is_irreducible(p: Poly) -> bool:
@@ -741,11 +754,7 @@ def is_irreducible(p: Poly) -> bool:
         return True
     if p.degree > MAX_CHECKED_DEGREE:
         raise ValueError("degree above the irreducibility checking bound")
-    import sympy
-
-    x = sympy.Symbol("x")
-    expr = sum(sympy.Rational(int(c.numerator), int(c.denominator)) * x ** i for i, c in enumerate(p.coeffs))
-    return sympy.Poly(expr, x, domain="QQ").is_irreducible
+    return _to_sympy(p).is_irreducible
 
 
 # ---------------------------------------------------------------------------

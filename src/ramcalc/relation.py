@@ -336,24 +336,10 @@ class RuleStore:
             value_cap = max(ends, default=1) * CAP_FACTOR
         if source == target:
             return DerivationTrace(steps=[])
-        frontier = [source]
-        parent = {source: None}
-        for _ in range(bound):
-            nxt = []
-            for node in frontier:
-                for rule in self:
-                    for param, succ in rule.successors(node):
-                        if succ.kind == "curve" and succ.n > value_cap:
-                            continue
-                        if succ in parent:
-                            continue
-                        parent[succ] = (node, rule, param)
-                        if succ == target:
-                            return _build_trace(parent, target)
-                        nxt.append(succ)
-            if not nxt:
-                break
-            frontier = nxt
+        parent: dict = {}
+        for _ in self._walk([source], bound, value_cap, parent):
+            if target in parent:
+                return _build_trace(parent, target)
         return None
 
     def search_tree(
@@ -371,22 +357,9 @@ class RuleStore:
         if value_cap is None:
             base = source.n if source.kind == "curve" else 1
             value_cap = max(base, 1) * CAP_FACTOR
-        parent: dict = {source: None}
-        frontier = [source]
-        for _ in range(bound):
-            nxt = []
-            for node in frontier:
-                for rule in self:
-                    for param, succ in rule.successors(node):
-                        if succ.kind == "curve" and succ.n > value_cap:
-                            continue
-                        if succ in parent:
-                            continue
-                        parent[succ] = (node, rule, param)
-                        nxt.append(succ)
-            if not nxt:
-                break
-            frontier = nxt
+        parent: dict = {}
+        for _ in self._walk([source], bound, value_cap, parent):
+            pass
         return parent
 
     @staticmethod
@@ -406,34 +379,47 @@ class RuleStore:
             return []
         levels = [n.n for n in nodes if n.kind == "curve"]
         value_cap = max(levels, default=1) * CAP_FACTOR
-        adjacency: dict = {}
-        frontier = list(nodes)
-        for node in frontier:
-            adjacency.setdefault(node, None)
-        depth = 0
-        while frontier and depth < bound:
-            nxt = []
-            for node in frontier:
-                succs = []
-                for rule in self:
-                    for _, succ in rule.successors(node):
-                        if succ.kind == "curve" and succ.n > value_cap:
-                            continue
-                        succs.append(succ)
-                        if succ not in adjacency:
-                            adjacency[succ] = None
-                            nxt.append(succ)
-                adjacency[node] = succs
-            frontier = nxt
-            depth += 1
-        for node, succs in adjacency.items():
-            if succs is None:
-                adjacency[node] = []
+        parent: dict = {}
+        expanded = {
+            node: [succ for _, _, succ in edges]
+            for node, edges in self._walk(nodes, bound, value_cap, parent)
+        }
+        # nodes first reached at the depth bound are never expanded
+        adjacency = {node: expanded.get(node, []) for node in parent}
         component = _strongly_connected(adjacency)
         classes: dict = {}
         for node in nodes:
             classes.setdefault(component[node], []).append(node)
         return list(classes.values())
+
+    def _walk(self, sources: list, bound: int, value_cap: int, parent: dict):
+        """Breadth-first frontier walk, at most `bound` levels deep.
+
+        Fills `parent` with the first edge (predecessor, rule,
+        parameter) into each reached node, None at the sources, and
+        yields (node, [(rule, parameter, successor), ...]) for each
+        expanded node: every edge in rule order whose curve level is
+        within `value_cap`, repeats included.
+        """
+        for node in sources:
+            parent[node] = None
+        frontier = list(sources)
+        for _ in range(bound):
+            nxt = []
+            for node in frontier:
+                edges = []
+                for rule in self:
+                    for param, succ in rule.successors(node):
+                        if succ.kind == "curve" and succ.n > value_cap:
+                            continue
+                        edges.append((rule, param, succ))
+                        if succ not in parent:
+                            parent[succ] = (node, rule, param)
+                            nxt.append(succ)
+                yield node, edges
+            if not nxt:
+                break
+            frontier = nxt
 
 
 def _strongly_connected(adjacency: dict) -> dict:

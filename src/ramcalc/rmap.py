@@ -159,15 +159,6 @@ class RationalMap:
                 den = den + pq * self.den.coeffs[i]
         return RationalMap(num, den)
 
-    def wronskian(self) -> Poly:
-        """P'Q - PQ'; its zeros are the finite critical points."""
-        return self.num.derivative() * self.den - self.num * self.den.derivative()
-
-    def conjugate_by_inversion(self) -> "RationalMap":
-        """The map z -> 1/f(1/z), used for local analysis at infinity."""
-        d = max(self.num.degree, self.den.degree)
-        return RationalMap(self.den.reversed(d), self.num.reversed(d))
-
     def local_index(self, x) -> int:
         """Multiplicity of x as a solution of f(z) = f(x)."""
         if is_inf(x):

@@ -9,11 +9,9 @@ exponent vectors stay smooth.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .exact import is_smooth
 
@@ -39,29 +37,11 @@ def _normalize_primes(primes: Iterable[int]) -> tuple:
     return tuple(ps)
 
 
-def smooth_enum(primes: Iterable[int], bound: int, threads: Optional[int] = None) -> SmoothSet:
-    """Every P-smooth n <= bound, by product generation.
-
-    With threads > 1 the range is partitioned and checked per slice,
-    then merged; the result is identical either way.
-    """
+def smooth_enum(primes: Iterable[int], bound: int) -> SmoothSet:
+    """Every P-smooth n <= bound, by product generation."""
     ps = _normalize_primes(primes)
     if bound < 1:
         raise ValueError("height bound must be >= 1")
-    if threads is None:
-        threads = int(os.environ.get("RAMCALC_THREADS", "1"))
-    if threads > 1 and bound > 256:
-        chunk = (bound + threads - 1) // threads
-        ranges = [(lo, min(lo + chunk - 1, bound)) for lo in range(1, bound + 1, chunk)]
-
-        def check(rng):
-            lo, hi = rng
-            return [n for n in range(lo, hi + 1) if is_smooth(n, ps)]
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pieces = list(pool.map(check, ranges))
-        vals = [n for piece in pieces for n in piece]
-        return SmoothSet(ps, bound, tuple(vals))
     vals = {1}
     frontier = [1]
     while frontier:

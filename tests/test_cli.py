@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, report rendering, byte stability."""
 
 import json
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -122,8 +124,28 @@ class TestContract:
         assert payload["steps"] == []
 
     def test_unparseable_exits_two(self, capsys):
-        code, _, err = run(capsys, "contract", "z^^3 ++ oops(")
-        assert code == 2
+        for bad in ("z^^3 ++ oops(", "z^2-sqrt(2)", "x^2-2"):
+            code, _, err = run(capsys, "contract", bad)
+            assert code == 2, bad
+            assert "error:" in err
+
+    def test_huge_final_points_print(self, capsys):
+        # the final points of Phi5 run past Python's default limit of
+        # 4300 digits for printing an integer
+        code, out, _ = run(capsys, "contract", "z^4+z^3+z^2+z+1", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["passed"] is True
+        assert max(len(x) for x in payload["final_points"]) > 4300
+        for x in payload["final_points"]:
+            Fraction(x)
+
+    def test_height_cap_exits_one(self, capsys):
+        code, out, _ = run(capsys, "contract", "z^5-3", "--height-cap", "8", "--json")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["passed"] is False
+        assert re.fullmatch(r"coefficient size \d+ bits exceeds cap 8", payload["error"])
 
 
 class TestRelation:
