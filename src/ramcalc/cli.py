@@ -13,6 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
+from . import __version__
 from .belyi import (
     BelyiTuple,
     NotBelyiForm,
@@ -28,7 +29,7 @@ from .contract import (
     contract_to_rational,
 )
 from .cover import rh_genus, standard_projection_profile, verify_certificate
-from .exact import Poly, _from_sympy
+from .exact import BACKEND, Poly, _from_sympy
 from .manifest import (
     CERT_HEADER,
     CHAIN_HEADER,
@@ -553,6 +554,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ramcalc",
         description="exact verification toolkit for ramification chains, "
         "branch-cover certificates, and curve-domination derivations",
+    )
+    ap.add_argument(
+        "--version", action="version", version=f"ramcalc {__version__} (rationals: {BACKEND})"
     )
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -17,7 +17,15 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .exact import Poly, QQ, _from_sympy, _to_sympy, resultant, solve_linear_system, squarefree_part
+from .exact import (
+    Poly,
+    QQ,
+    _from_sympy,
+    _is_squarefree_qq,
+    _to_sympy,
+    solve_linear_system,
+    squarefree_part,
+)
 from .rmap import RationalMap, INF
 
 
@@ -188,58 +196,6 @@ def default_targets():
         yield Fraction(k)
         yield Fraction(-k)
         k += 1
-
-
-# large primes for the modular squarefreeness certificate
-_CERT_PRIMES = (
-    (1 << 61) - 1,
-    (1 << 62) - 57,
-    (1 << 62) - 87,
-    (1 << 62) - 117,
-    (1 << 62) - 143,
-    (1 << 62) - 153,
-    (1 << 62) - 167,
-    (1 << 62) - 171,
-)
-
-
-def _poly_gcd_degree_mod(a: list, b: list, q: int) -> int:
-    """Degree of gcd of two integer coefficient lists modulo a prime q."""
-    a = [c % q for c in a]
-    b = [c % q for c in b]
-    while b and not b[-1] % q:
-        b.pop()
-    while a and not a[-1] % q:
-        a.pop()
-    while b:
-        inv = pow(b[-1], -1, q)
-        while len(a) >= len(b):
-            factor = a[-1] * inv % q
-            shift = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[i + shift] = (a[i + shift] - factor * c) % q
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
-    return len(a) - 1
-
-
-def _is_squarefree_qq(p: Poly) -> bool:
-    """Certified squarefreeness over Q.
-
-    A trivial gcd(p, p') modulo any good prime certifies a nonzero
-    discriminant, which is exact evidence; an unlucky prime only forces
-    a retry.  The exact resultant is the (rarely needed) fallback.
-    """
-    ints, _ = p.int_form()
-    ints = list(ints)
-    deriv = [i * c for i, c in enumerate(ints)][1:]
-    for q in _CERT_PRIMES:
-        if ints[-1] % q == 0:
-            continue
-        if _poly_gcd_degree_mod(ints, deriv, q) == 0:
-            return True
-    return bool(resultant(p, p.derivative()))
 
 
 def _check_step(F: Poly, targets: list) -> list:

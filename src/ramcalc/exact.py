@@ -56,6 +56,16 @@ class RationalField:
 QQ = RationalField()
 
 
+def _int_vector(cs):
+    """(integer numerators, common denominator) of a sequence of rationals."""
+    den = 1
+    for c in cs:
+        d = c.denominator
+        if d != 1:
+            den = den * d // _int_gcd(den, d)
+    return [int(c.numerator * (den // c.denominator)) for c in cs], den
+
+
 class Poly:
     """Univariate polynomial over QQ or a NumberField.
 
@@ -183,12 +193,14 @@ class Poly:
         if dq < 0:
             return self._wrap([]), self
         quot = [z] * (dq + 1)
-        inv_lc = self.field.one / other.lc if isinstance(other.lc, NumberFieldElement) else None
+        # one inverse of the leading coefficient serves the whole loop;
+        # a monic divisor needs none
+        inv_lc = None if other.lc == 1 else self.field.one / other.lc
         for i in range(dq, -1, -1):
             top = rem[i + other.degree]
             if not top:
                 continue
-            q = top / other.lc if inv_lc is None else top * inv_lc
+            q = top if inv_lc is None else top * inv_lc
             quot[i] = q
             for j, b in enumerate(other.coeffs):
                 rem[i + j] = rem[i + j] - q * b
@@ -212,13 +224,8 @@ class Poly:
     def int_form(self):
         """Cached (integer coefficients, common denominator) over Q."""
         if self._intform is None:
-            denom = 1
-            for c in self.coeffs:
-                d = c.denominator
-                denom = denom * d // _int_gcd(denom, d)
-            denom = int(denom)
-            ints = tuple(int(c * denom) for c in self.coeffs)
-            object.__setattr__(self, "_intform", (ints, denom))
+            ints, denom = _int_vector(self.coeffs)
+            object.__setattr__(self, "_intform", (tuple(ints), int(denom)))
         return self._intform
 
     def __call__(self, x):
@@ -264,7 +271,10 @@ class Poly:
         if self.is_zero():
             return self
         lc = self.lc
-        return self._wrap([c / lc for c in self.coeffs])
+        if lc == 1:
+            return self
+        inv = self.field.one / lc
+        return self._wrap([c * inv for c in self.coeffs])
 
     def compose(self, inner: "Poly") -> "Poly":
         acc = Poly(self.field, [])
@@ -296,15 +306,22 @@ class Poly:
                 order += 1
                 p = p.derivative()
             raise AssertionError("unreachable for a nonzero polynomial")
-        lin = Poly(self.field, [-self.field.coerce(x), self.field.one])
+        x = self.field.coerce(x)
+        q = _rational_part(self)
+        if q is not None and x.is_rational():
+            # the multiplicity does not depend on the field it is taken in
+            return q.vanishing_order(x.as_rational())
+        # synthetic division by z - x in place: after the sweep cs[0] is
+        # the remainder and cs[1:] the quotient
+        cs = list(self.coeffs)
         order = 0
-        p = self
         while True:
-            q, r = divmod(p, lin)
-            if not r.is_zero():
+            for i in range(len(cs) - 2, -1, -1):
+                cs[i] = cs[i] + cs[i + 1] * x
+            if cs[0]:
                 return order
             order += 1
-            p = q
+            del cs[0]
 
     def map_field(self, field) -> "Poly":
         """Reinterpret the coefficients in another field."""
@@ -330,11 +347,136 @@ class Poly:
 # gcd / squarefree / resultant
 
 
+def _clear_denominators(p: Poly):
+    """(integer coefficient list, common denominator D) with coeffs*D integral."""
+    ints, denom = p.int_form()
+    return list(ints), denom
+
+
+# large primes for the modular coprimality certificate
+_CERT_PRIMES = (
+    (1 << 61) - 1,
+    (1 << 62) - 57,
+    (1 << 62) - 87,
+    (1 << 62) - 117,
+    (1 << 62) - 143,
+    (1 << 62) - 153,
+    (1 << 62) - 167,
+    (1 << 62) - 171,
+)
+
+
+def _poly_gcd_degree_mod(a: list, b: list, q: int) -> int:
+    """Degree of gcd of two integer coefficient lists modulo a prime q."""
+    a = [c % q for c in a]
+    b = [c % q for c in b]
+    while b and not b[-1] % q:
+        b.pop()
+    while a and not a[-1] % q:
+        a.pop()
+    while b:
+        inv = pow(b[-1], -1, q)
+        while len(a) >= len(b):
+            factor = a[-1] * inv % q
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[i + shift] = (a[i + shift] - factor * c) % q
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def _primitive(p: list) -> list:
+    """An integer coefficient list divided by its content."""
+    g = 0
+    for c in p:
+        g = _int_gcd(g, c)
+        if g == 1:
+            return p
+    return [c // g for c in p]
+
+
+def _prem(a: list, b: list) -> list:
+    """Pseudo-remainder of a by b (integer lists, b nonzero), up to a
+    nonzero integer factor; no trailing zeros."""
+    r = list(a)
+    nb = len(b)
+    lb = b[-1]
+    while len(r) >= nb:
+        top = r.pop()
+        g = _int_gcd(lb, top)
+        s, t = lb // g, top // g
+        shift = len(r) - nb + 1
+        if s != 1:
+            r = [s * c for c in r]
+        for j in range(nb - 1):
+            r[shift + j] -= t * b[j]
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _gcd_zz(a: list, b: list) -> list:
+    """Primitive gcd, up to sign, of two integer coefficient lists, the
+    first one nonzero.
+
+    A gcd of degree 0 modulo a prime q that does not divide lc(a)
+    proves gcd = 1 over Q: reduction mod q keeps the degree of every
+    divisor of a.  Otherwise a primitive PRS (pseudo-remainders with
+    the integer content removed at each step) finds it.
+    """
+    if len(b) <= 1:
+        return [1] if b else _primitive(a)
+    if len(a) == 1:
+        return [1]
+    for q in _CERT_PRIMES:
+        if a[-1] % q and _poly_gcd_degree_mod(a, b, q) == 0:
+            return [1]
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    return a
+
+
+def _is_squarefree_qq(p: Poly) -> bool:
+    """Certified squarefreeness over Q: gcd(p, p') = 1, by the modular
+    certificate when one of the primes is good, else by the PRS."""
+    ints, _ = _clear_denominators(p)
+    return len(_gcd_zz(ints, [i * c for i, c in enumerate(ints)][1:])) == 1
+
+
+def _rational_part(p: Poly):
+    """p as a polynomial over Q when every coefficient is rational, else None."""
+    if isinstance(p.field, RationalField):
+        return p
+    if all(c.is_rational() for c in p.coeffs):
+        return Poly(QQ, [c.coeffs[0] for c in p.coeffs])
+    return None
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm; gcd(0, 0) = 0."""
+    """Monic gcd; gcd(0, 0) = 0.
+
+    Over Q by the integer kernel `_gcd_zz`.  Over a number field K a
+    pair with every coefficient in Q takes the same route, since their
+    gcd over K is their gcd over Q; other pairs use the Euclidean
+    algorithm in K.
+    """
+    if a.field != b.field:
+        raise TypeError("polynomials over different fields")
+    if a.is_zero() or b.is_zero():
+        return b.monic() if a.is_zero() else a.monic()
+    qa, qb = _rational_part(a), _rational_part(b)
+    if qa is not None and qb is not None:
+        g = _gcd_zz(_clear_denominators(qa)[0], _clear_denominators(qb)[0])
+        lc = g[-1]
+        return Poly(a.field, [RAT(c, lc) for c in g])
     while not b.is_zero():
         a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+    return a.monic()
 
 
 def squarefree_part(a: Poly) -> Poly:
@@ -345,12 +487,6 @@ def squarefree_part(a: Poly) -> Poly:
     if g.degree <= 0:
         return a.monic()
     return (a // g).monic()
-
-
-def _clear_denominators(p: Poly):
-    """(integer coefficient list, common denominator D) with coeffs*D integral."""
-    ints, denom = p.int_form()
-    return list(ints), denom
 
 
 def _bareiss_det(m):
@@ -432,12 +568,7 @@ def rational_roots(p: Poly) -> list[Fraction]:
         raise TypeError("rational root search needs a polynomial over QQ")
     if p.is_zero():
         raise ValueError("zero polynomial")
-    coeffs = list(p.coeffs)
-    # clear denominators
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.denominator // _int_gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in coeffs]
+    ints, _ = _clear_denominators(p)
     shift = 0
     while ints[shift] == 0:
         shift += 1
@@ -541,6 +672,7 @@ class NumberField:
         if any(c.denominator != 1 for c in minpoly.coeffs):
             raise ValueError("defining polynomial must have integer coefficients")
         self.minpoly = minpoly
+        self._minpoly_ints = minpoly.int_form()[0]
         self.name = name
         self.degree = minpoly.degree
         self.assumed_irreducible = False
@@ -625,7 +757,7 @@ class NumberFieldElement:
 
     def _co(self, other):
         if isinstance(other, NumberFieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise TypeError("elements of different number fields")
             return other
         return self.field.coerce(other)
@@ -648,9 +780,28 @@ class NumberFieldElement:
         return (-self) + self._co(other)
 
     def __mul__(self, other):
+        # integer convolution, reduction modulo the monic integer
+        # minimal polynomial, and one normalisation per coefficient
         other = self._co(other)
-        prod = Poly(QQ, self.coeffs) * Poly(QQ, other.coeffs)
-        return self.field.element(list((prod % self.field.minpoly).coeffs))
+        fld = self.field
+        d = fld.degree
+        an, ad = _int_vector(self.coeffs)
+        bn, bd = _int_vector(other.coeffs)
+        prod = [0] * (2 * d - 1)
+        for i, x in enumerate(an):
+            if x:
+                for j, y in enumerate(bn):
+                    prod[i + j] += x * y
+        mp = fld._minpoly_ints
+        for i in range(2 * d - 2, d - 1, -1):
+            c = prod[i]
+            if c:
+                for j in range(d):
+                    prod[i - d + j] -= c * mp[j]
+        den = ad * bd
+        if den == 1:
+            return NumberFieldElement(fld, tuple(RAT(c) for c in prod[:d]))
+        return NumberFieldElement(fld, tuple(RAT(c, den) for c in prod[:d]))
 
     __rmul__ = __mul__
 

@@ -86,6 +86,8 @@ class _ExprParser:
         while self.peek() in ("*", "/"):
             op = self.take()
             w = self.factor()
+            if op == "/" and not w:
+                raise ManifestError("division by zero")
             v = v * w if op == "*" else v / w
         return v
 
@@ -222,6 +224,16 @@ def render_chain(m: ChainManifest) -> str:
     return "\n".join(lines) + "\n"
 
 
+_STEP_KEYS = ("support", "exponents", "num", "den", "ram", "out")
+
+
+def _parse_coeffs(field, rest: str) -> list:
+    coeffs = [parse_point(field, c) for c in rest.split()]
+    if any(is_inf(c) for c in coeffs):
+        raise ManifestError("inf is not a coefficient")
+    return coeffs
+
+
 def parse_chain(text: str) -> ChainManifest:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != CHAIN_HEADER:
@@ -261,22 +273,32 @@ def parse_chain(text: str) -> ChainManifest:
                 raise ManifestError("field must precede start")
             for item in rest.split():
                 p, _, i = item.rpartition(":")
-                start.append((parse_point(field, p), int(i)))
+                index = int(i)
+                if index < 1:
+                    raise ManifestError(f"start index must be at least 1: {item!r}")
+                start.append((parse_point(field, p), index))
         elif key == "step":
+            if field is None:
+                raise ManifestError("field must precede steps")
             close_step()
             parts = rest.split()
             if len(parts) != 2 or parts[1] not in ("map", "auto", "belyi"):
                 raise ManifestError(f"bad step line {ln!r}")
             current = ChainStep(name=parts[0], kind=parts[1])
             num_coeffs = None
+        elif key in _STEP_KEYS and current is None:
+            raise ManifestError(f"{key} line outside a step")
         elif key == "support":
-            current.support = tuple(Fraction(q) for q in rest.split())
+            try:
+                current.support = tuple(Fraction(q) for q in rest.split())
+            except ZeroDivisionError:
+                raise ManifestError("division by zero") from None
         elif key == "exponents":
             current.exponents = tuple(int(r) for r in rest.split())
         elif key == "num":
-            num_coeffs = [parse_point(field, c) for c in rest.split()]
+            num_coeffs = _parse_coeffs(field, rest)
         elif key == "den":
-            den_coeffs = [parse_point(field, c) for c in rest.split()]
+            den_coeffs = _parse_coeffs(field, rest)
             if num_coeffs is None:
                 raise ManifestError(f"step {current.name}: den before num")
             current.map = RationalMap(Poly(field, num_coeffs), Poly(field, den_coeffs))

@@ -60,6 +60,29 @@ class TestVerify:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "field, point",
+        [("rational", "1/0"), ("rational", "2/(1-1)"), ("cyclotomic 5", "1/(t-t)")],
+    )
+    def test_division_by_zero_exits_two(self, capsys, tmp_path, field, point):
+        p = tmp_path / "zero.chain"
+        p.write_text(
+            f"ramcalc-chain 1\nname zero\nfield {field}\nstart 1:2\n"
+            f"step f map\nnum 0 1\nden 1\nout {point}\n"
+        )
+        code, _, err = run(capsys, "verify", str(p))
+        assert code == 2
+        assert "error: division by zero" in err
+
+    def test_start_index_below_one_exits_two(self, capsys, tmp_path):
+        text = bundled_text("prop12.chain")
+        assert "start 1:2 " in text
+        p = tmp_path / "start.chain"
+        p.write_text(text.replace("start 1:2 ", "start 1:0 "))
+        code, _, err = run(capsys, "verify", str(p))
+        assert code == 2
+        assert "start index" in err
+
     def test_missing_file_exits_two(self, capsys):
         code, _, err = run(capsys, "verify", "/nonexistent/path.chain")
         assert code == 2
@@ -71,6 +94,16 @@ class TestVerify:
         assert out1 == out2
         payload = json.loads(out1)
         assert payload["passed"] is True
+
+
+class TestVersion:
+    def test_version_names_backend(self, capsys):
+        from ramcalc import __version__
+        from ramcalc.exact import BACKEND
+
+        code, out, _ = run(capsys, "--version")
+        assert code == 0
+        assert out.strip() == f"ramcalc {__version__} (rationals: {BACKEND})"
 
 
 class TestBelyi:

@@ -7,13 +7,12 @@ import pytest
 from ramcalc.contract import (
     AlgebraicPointSet,
     StrategyExhausted,
-    _is_squarefree_qq,
     build_cofactor,
     contract_to_rational,
     reduction_step,
     split_degree,
 )
-from ramcalc.exact import QQ, Poly, cyclotomic, resultant, squarefree_part
+from ramcalc.exact import QQ, Poly, _is_squarefree_qq, cyclotomic, resultant, squarefree_part
 
 
 class TestSplitDegree:

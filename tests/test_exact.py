@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramcalc.exact import (
+    _CERT_PRIMES,
     QQ,
     NumberField,
     Poly,
     SmoothnessFailure,
+    _poly_gcd_degree_mod,
     cyclotomic,
     factor_over_primes,
     is_irreducible,
@@ -101,6 +103,117 @@ class TestGcdAndSquarefree:
         g = poly_gcd(a, b)
         assert (a % g).is_zero()
         assert (b % g).is_zero()
+
+
+def euclid_gcd(a, b):
+    """Reference: monic gcd by the textbook Euclidean loop in Fraction."""
+    a = [Fraction(c) for c in a.coeffs]
+    b = [Fraction(c) for c in b.coeffs]
+    while b:
+        while len(a) >= len(b):
+            q = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[i + shift] -= q * c
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return Poly(QQ, [c / a[-1] for c in a])
+
+
+class TestIntegerGcdKernel:
+    @given(polys(4), polys(4), polys(3))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_fraction_euclid(self, a, b, c):
+        if a.is_zero() or b.is_zero() or c.is_zero():
+            return
+        # c is a planted common factor
+        assert poly_gcd(a * c, b * c) == euclid_gcd(a * c, b * c)
+        assert poly_gcd(a, b) == euclid_gcd(a, b)
+
+    def test_unlucky_first_prime(self):
+        # z - (2^61 - 1) is z modulo the first prime, coprime to z over Q
+        z = Poly(QQ, [0, 1])
+        b = Poly(QQ, [-((1 << 61) - 1), 1])
+        assert _poly_gcd_degree_mod([0, 1], [-((1 << 61) - 1), 1], _CERT_PRIMES[0]) == 1
+        assert poly_gcd(z, b) == Poly(QQ, [1])
+        assert poly_gcd(b, z) == Poly(QQ, [1])
+
+    def test_prime_dividing_leading_coefficient_proves_nothing(self):
+        # modulo q = 2^61 - 1 the common factor q z - 1 becomes a unit
+        q = _CERT_PRIMES[0]
+        shared = Poly(QQ, [-1, q])
+        a = Poly(QQ, [0, 1]) * shared
+        b = Poly(QQ, [1, 1]) * shared
+        assert _poly_gcd_degree_mod(list(a.int_form()[0]), list(b.int_form()[0]), q) == 0
+        assert poly_gcd(a, b) == shared.monic()
+
+    def test_every_prime_unlucky_forces_prs(self):
+        n = 1
+        for q in _CERT_PRIMES:
+            n *= q
+        assert all(_poly_gcd_degree_mod([0, 1], [-n, 1], q) == 1 for q in _CERT_PRIMES)
+        z = Poly(QQ, [0, 1])
+        assert poly_gcd(z, Poly(QQ, [-n, 1])) == Poly(QQ, [1])
+        shared = Poly(QQ, [Fraction(1, 3), 2, 1])
+        assert poly_gcd(z * shared, Poly(QQ, [-n, 1]) * shared) == shared.monic()
+
+    def test_number_field_pair_outside_q(self):
+        K = NumberField.cyclotomic_field(5)
+        t = K.gen
+        a = Poly(K, [-t, 1]) * Poly(K, [-1, 1])
+        b = Poly(K, [-t, 1]) * Poly(K, [1, 1])
+        assert poly_gcd(a, b) == Poly(K, [-t, 1])
+
+    def test_number_field_pair_inside_q_matches_q(self):
+        K = NumberField.cyclotomic_field(5)
+        a = Poly.from_roots(QQ, [1, 2, Fraction(1, 2)])
+        b = Poly.from_roots(QQ, [2, Fraction(1, 2), 7])
+        assert poly_gcd(a.map_field(K), b.map_field(K)) == poly_gcd(a, b).map_field(K)
+
+
+def field_elements(field):
+    return st.lists(small_rationals, min_size=field.degree, max_size=field.degree).map(
+        field.element
+    )
+
+
+FIELDS = [
+    NumberField.cyclotomic_field(5),
+    NumberField.cyclotomic_field(7),
+    NumberField(Poly(QQ, [-2, 0, 0, 1]), name="a"),
+]
+FIELD_IDS = ["zeta5", "zeta7", "cbrt2"]
+
+
+class TestNumberFieldKernels:
+    @pytest.mark.parametrize("K", FIELDS, ids=FIELD_IDS)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_mul_matches_poly_product_mod_minpoly(self, K, data):
+        x = data.draw(field_elements(K))
+        y = data.draw(field_elements(K))
+        ref = (Poly(QQ, x.coeffs) * Poly(QQ, y.coeffs)) % K.minpoly
+        assert (x * y).coeffs == K.element(list(ref.coeffs)).coeffs
+
+    @pytest.mark.parametrize("K", FIELDS, ids=FIELD_IDS)
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_vanishing_order_matches_repeated_divmod(self, K, data):
+        x = data.draw(field_elements(K))
+        mult = data.draw(st.integers(min_value=0, max_value=3))
+        rest = Poly(K, data.draw(st.lists(field_elements(K), min_size=1, max_size=3)))
+        if rest.is_zero():
+            return
+        p = Poly(K, [-x, 1]) ** mult * rest
+        lin = Poly(K, [-x, 1])
+        expected, q = 0, p
+        while True:
+            q, r = divmod(q, lin)
+            if not r.is_zero():
+                break
+            expected += 1
+        assert p.vanishing_order(x) == expected >= mult
 
 
 class TestResultant:

@@ -84,6 +84,26 @@ class TestBundledChains:
         with pytest.raises(ManifestError):
             parse_chain(text.replace("step f2 map", "step f2 sideways"))
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            # num, den, ram and out lines before any step line
+            lambda text: text.replace("step h2 map\n", ""),
+            # steps without a field
+            lambda text: "\n".join(
+                ln for ln in text.splitlines() if not ln.startswith(("field", "start"))
+            ),
+            lambda text: text.replace("den 0 1\n", "den inf\n"),
+            lambda text: text.replace("support 0 6", "support 1/0 6"),
+        ],
+        ids=["outside-step", "no-field", "inf-coefficient", "zero-denominator"],
+    )
+    def test_misplaced_or_bad_lines_rejected(self, edit):
+        text = bundled_text("prop12.chain")
+        assert edit(text) != text
+        with pytest.raises(ManifestError):
+            parse_chain(edit(text))
+
 
 class TestBundledCertificates:
     @pytest.mark.parametrize("name", CERT_FILES)
