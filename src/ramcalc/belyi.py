@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-from .exact import Poly, QQ, factor_over_primes, SmoothnessFailure
+from .exact import Poly, QQ, _int_vector, _primitive, factor_over_primes, SmoothnessFailure
 
 
 class DegenerateSupport(ValueError):
@@ -92,14 +92,7 @@ def vandermonde_exponents(support: Sequence) -> tuple[int, ...]:
         minor = vandermonde(pts[:i] + pts[i + 1:])
         raw.append(minor if i % 2 == 0 else -minor)
     # clear denominators, then reduce by gcd
-    denom = 1
-    for r in raw:
-        denom = denom * r.denominator // gcd(denom, r.denominator)
-    ints = [int(r * denom) for r in raw]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    ints = [v // g for v in ints]
+    ints = [int(v) for v in _primitive(_int_vector(raw)[0])]
     if ints[0] < 0:
         ints = [-v for v in ints]
     if sum(ints) != 0:
@@ -182,20 +175,11 @@ def hyperplane_membership(points: Sequence[int]):
 def _normalized_supports(k: int, box: int):
     """Supports with n_1 = 0, ascending, content 1, inside [0, box]."""
     for rest in combinations(range(1, box + 1), k - 1):
-        g = 0
-        for v in rest:
-            g = gcd(g, v)
-        if g != 1:
-            continue
-        yield (0,) + rest
+        if gcd(*rest) == 1:
+            yield (0,) + rest
 
 
-def search_smooth_tuples(
-    k: int,
-    primes: Iterable[int],
-    box: int,
-    budget: Optional[int] = None,
-) -> list[BelyiTuple]:
+def search_smooth_tuples(k: int, primes: Iterable[int], box: int) -> list[BelyiTuple]:
     """Enumerate normalized supports in the box and keep the smooth ones.
 
     Output order is lexicographic in the support.
@@ -208,6 +192,4 @@ def search_smooth_tuples(
         exps = vandermonde_exponents(sup)
         if all(not isinstance(factor_over_primes(r, primes), SmoothnessFailure) for r in exps):
             results.append(BelyiTuple(sup, exps))
-    if budget is not None:
-        results = results[:budget]
     return results

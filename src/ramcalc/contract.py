@@ -13,7 +13,7 @@ targets); every other degree, quadratics included, uses the cofactor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -21,12 +21,19 @@ from .exact import (
     Poly,
     QQ,
     _from_sympy,
+    _image_poly,
     _is_squarefree_qq,
     _to_sympy,
     solve_linear_system,
     squarefree_part,
 )
 from .rmap import RationalMap, INF
+
+
+# target tuples tried per step, and steps per contraction, before
+# StrategyExhausted
+RETRY_CAP = 1000
+MAX_STEPS = 64
 
 
 class TargetCollision(ValueError):
@@ -252,24 +259,20 @@ def _admissible_step(f: Poly, k: int, targets: list, height_cap: Optional[int]):
     )
 
 
-def reduction_step(
-    S: AlgebraicPointSet,
-    strategy=None,
-    retry_cap: int = 1000,
-    height_cap: Optional[int] = None,
-):
+def reduction_step(S: AlgebraicPointSet, height_cap: Optional[int] = None):
     """One round of the elimination: returns (ReductionStep, new set).
 
     Picks a maximal-degree entry f.  If its degree m = 2^j is at least 4
     and f' is squarefree, F = f passes the certificate as it stands and
-    the step has r = 0 and no targets.  Otherwise it searches the
-    strategy stream for an admissible target tuple (cofactor solvable,
-    F' squarefree).  The new set is F(S) together with the ramification
-    data of F: the targets, their images, and the factors of the
-    remaining critical cofactor with their images.  Only that cofactor
-    is factored; the image of an irreducible entry is the minimal
-    polynomial of F(alpha) and is taken as it is.  The degree-m count
-    strictly drops: roots of f go to the rational point 0.
+    the step has r = 0 and no targets.  Otherwise it slides a window of
+    r targets along `default_targets` and takes the first admissible
+    tuple (cofactor solvable, F' squarefree), trying at most RETRY_CAP.
+    The new set is F(S) together with the ramification data of F: the
+    targets, their images, and the factors of the remaining critical
+    cofactor with their images.  Only that cofactor is factored; the
+    image of an irreducible entry is the minimal polynomial of F(alpha)
+    and is taken as it is.  The degree-m count strictly drops: roots of
+    f go to the rational point 0.
     """
     m = S.max_degree()
     if m < 2:
@@ -284,11 +287,10 @@ def reduction_step(
         step = _admissible_step(f, m.bit_length() - 1, [], height_cap)
     if step is None:
         k, r = split_degree(m)
-        stream = strategy() if strategy is not None else default_targets()
         attempts = 0
         window: list = []
-        for cand in stream:
-            if attempts >= retry_cap:
+        for cand in default_targets():
+            if attempts >= RETRY_CAP:
                 break
             if cand in window or f.evaluates_to_zero(cand):
                 continue
@@ -324,56 +326,8 @@ def reduction_step(
     return step, new_set
 
 
-def _image_poly(F: Poly, s: Poly) -> Poly:
-    """Squarefree polynomial vanishing on F(roots of s).
-
-    Computed as the characteristic polynomial of multiplication by
-    F mod s on Q[z]/(s): its eigenvalues are exactly F(alpha) over the
-    roots alpha of s.  This avoids resultants of huge polynomials.  For
-    an irreducible s the characteristic polynomial is a power of the
-    minimal polynomial of F(alpha), so the result is irreducible.
-    """
-    s = squarefree_part(s)
-    k = s.degree
-    if k == 0:
-        raise ValueError("image of an empty point set")
-    rbar = F % s
-    # multiplication matrix: column j holds rbar * z^j mod s
-    cols = []
-    cur = rbar
-    for j in range(k):
-        coeffs = list(cur.coeffs) + [QQ.zero] * (k - len(cur.coeffs))
-        cols.append(coeffs)
-        if j < k - 1:
-            cur = (cur * Poly(QQ, [0, 1])) % s
-    matrix = [[cols[j][i] for j in range(k)] for i in range(k)]
-    char = _charpoly(matrix)
-    return squarefree_part(char)
-
-
-def _charpoly(matrix: list) -> Poly:
-    """Monic characteristic polynomial by the Faddeev-LeVerrier recursion."""
-    n = len(matrix)
-    ident = [[QQ.one if i == j else QQ.zero for j in range(n)] for i in range(n)]
-    coeffs = [QQ.one]  # of y^n down to y^0
-    M = ident
-    for m in range(1, n + 1):
-        # M <- A (M + c_{m-1} I), c_m = -tr(M)/m
-        AM = [[sum(matrix[i][t] * M[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-        trace = sum(AM[i][i] for i in range(n))
-        c = -trace / m
-        coeffs.append(c)
-        if m < n:
-            M = [[AM[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
-    return Poly(QQ, list(reversed(coeffs)))
-
-
 def contract_to_rational(
-    S: AlgebraicPointSet,
-    strategy=None,
-    retry_cap: int = 1000,
-    height_cap: Optional[int] = None,
-    max_steps: int = 64,
+    S: AlgebraicPointSet, height_cap: Optional[int] = None
 ) -> ContractionResult:
     """Iterate reduction steps until every tracked point is rational.
 
@@ -386,9 +340,9 @@ def contract_to_rational(
     cert = []
     current = S
     while not current.all_rational():
-        if len(steps) >= max_steps:
+        if len(steps) >= MAX_STEPS:
             raise StrategyExhausted(len(steps))
-        step, current = reduction_step(current, strategy, retry_cap, height_cap)
+        step, current = reduction_step(current, height_cap)
         steps.append(step)
         cert.append((2, step.product.degree))
     return ContractionResult(steps=steps, final_set=current, index_certificate=cert)

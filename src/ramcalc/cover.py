@@ -256,10 +256,6 @@ class Fiber:
         if self.form != "explicit" and len(self.data) != 1:
             raise ValueError(f"{self.form} fiber takes a single index")
 
-    @staticmethod
-    def trivial() -> "Fiber":
-        return Fiber("all", (ParamIndex(1),))
-
     def values_at(self, n: int):
         return tuple(p.at(n) for p in self.data)
 

@@ -66,6 +66,17 @@ def _int_vector(cs):
     return [int(c.numerator * (den // c.denominator)) for c in cs], den
 
 
+def _int_horner(ints, na: int, da: int) -> int:
+    """da^n p(na/da) for the integer coefficient list of a degree-n p:
+    integer Horner with no division."""
+    acc = 0
+    bpow = 1
+    for c in reversed(ints):
+        acc = acc * na + c * bpow
+        bpow *= da
+    return acc
+
+
 class Poly:
     """Univariate polynomial over QQ or a NumberField.
 
@@ -237,12 +248,7 @@ class Poly:
             # than per-step gcd normalization once coefficients are huge
             ints, denom = self.int_form()
             na, da = int(x.numerator), int(x.denominator)
-            acc = 0
-            bpow = 1
-            for c in reversed(ints):
-                acc = acc * na + c * bpow
-                bpow *= da
-            return RAT(acc, denom * da ** self.degree)
+            return RAT(_int_horner(ints, na, da), denom * da ** self.degree)
         acc = self.field.zero
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -255,13 +261,7 @@ class Poly:
         if isinstance(self.field, RationalField):
             x = self.field.coerce(x)
             ints, _ = self.int_form()
-            na, da = int(x.numerator), int(x.denominator)
-            acc = 0
-            bpow = 1
-            for c in reversed(ints):
-                acc = acc * na + c * bpow
-                bpow *= da
-            return acc == 0
+            return _int_horner(ints, int(x.numerator), int(x.denominator)) == 0
         return not self(x)
 
     def derivative(self) -> "Poly":
@@ -345,12 +345,6 @@ class Poly:
 
 # ---------------------------------------------------------------------------
 # gcd / squarefree / resultant
-
-
-def _clear_denominators(p: Poly):
-    """(integer coefficient list, common denominator D) with coeffs*D integral."""
-    ints, denom = p.int_form()
-    return list(ints), denom
 
 
 # large primes for the modular coprimality certificate
@@ -444,7 +438,7 @@ def _gcd_zz(a: list, b: list) -> list:
 def _is_squarefree_qq(p: Poly) -> bool:
     """Certified squarefreeness over Q: gcd(p, p') = 1, by the modular
     certificate when one of the primes is good, else by the PRS."""
-    ints, _ = _clear_denominators(p)
+    ints, _ = p.int_form()
     return len(_gcd_zz(ints, [i * c for i, c in enumerate(ints)][1:])) == 1
 
 
@@ -471,7 +465,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return b.monic() if a.is_zero() else a.monic()
     qa, qb = _rational_part(a), _rational_part(b)
     if qa is not None and qb is not None:
-        g = _gcd_zz(_clear_denominators(qa)[0], _clear_denominators(qb)[0])
+        g = _gcd_zz(qa.int_form()[0], qb.int_form()[0])
         lc = g[-1]
         return Poly(a.field, [RAT(c, lc) for c in g])
     while not b.is_zero():
@@ -487,6 +481,21 @@ def squarefree_part(a: Poly) -> Poly:
     if g.degree <= 0:
         return a.monic()
     return (a // g).monic()
+
+
+def _inverse_mod(a: Poly, m: Poly) -> Poly:
+    """b with a b = 1 mod m, by the extended Euclidean algorithm over the
+    field of m; ZeroDivisionError when a is not a unit mod m."""
+    field = m.field
+    r0, r1 = a, m
+    s0, s1 = Poly(field, [1]), Poly(field, [])
+    while not r1.is_zero():
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+    if r0.degree != 0:
+        raise ZeroDivisionError("not a unit modulo the given polynomial")
+    return s0 * Poly(field, [field.one / r0.coeffs[0]])
 
 
 def _bareiss_det(m):
@@ -511,8 +520,8 @@ def _bareiss_det(m):
 
 def _resultant_qq(a: Poly, b: Poly):
     """Sylvester-determinant resultant over Q in integer arithmetic."""
-    ai, da = _clear_denominators(a)
-    bi, db = _clear_denominators(b)
+    ai, da = a.int_form()
+    bi, db = b.int_form()
     na, nb = a.degree, b.degree
     rows = []
     for i in range(nb):
@@ -551,6 +560,52 @@ def resultant(a: Poly, b: Poly):
         a, b = b, r
 
 
+def _image_poly(F: Poly, s: Poly) -> Poly:
+    """Squarefree monic polynomial vanishing exactly on F(roots of s).
+
+    Works over any field of characteristic 0 (Q or a number field).
+    Computed as the characteristic polynomial of multiplication by
+    F mod s on K[z]/(s): its eigenvalues are exactly F(alpha) over the
+    roots alpha of s.  This avoids resultants of huge polynomials.  For
+    an irreducible s the characteristic polynomial is a power of the
+    minimal polynomial of F(alpha), so the result is irreducible.
+    """
+    field = s.field
+    s = squarefree_part(s)
+    k = s.degree
+    if k == 0:
+        raise ValueError("image of an empty point set")
+    rbar = F % s
+    # multiplication matrix: column j holds rbar * z^j mod s
+    cols = []
+    cur = rbar
+    for j in range(k):
+        coeffs = list(cur.coeffs) + [field.zero] * (k - len(cur.coeffs))
+        cols.append(coeffs)
+        if j < k - 1:
+            cur = (cur * Poly(field, [0, 1])) % s
+    matrix = [[cols[j][i] for j in range(k)] for i in range(k)]
+    return squarefree_part(_charpoly(field, matrix))
+
+
+def _charpoly(field, matrix: list) -> Poly:
+    """Monic characteristic polynomial over field by the Faddeev-LeVerrier
+    recursion (divides by 1..n, so characteristic 0)."""
+    n = len(matrix)
+    ident = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+    coeffs = [field.one]  # of y^n down to y^0
+    M = ident
+    for m in range(1, n + 1):
+        # M <- A (M + c_{m-1} I), c_m = -tr(M)/m
+        AM = [[sum(matrix[i][t] * M[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        trace = sum(AM[i][i] for i in range(n))
+        c = -trace / m
+        coeffs.append(c)
+        if m < n:
+            M = [[AM[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
+    return Poly(field, list(reversed(coeffs)))
+
+
 def cyclotomic(n: int) -> Poly:
     """The n-th cyclotomic polynomial, by iterated exact division of z^n - 1."""
     if n < 1:
@@ -568,7 +623,7 @@ def rational_roots(p: Poly) -> list[Fraction]:
         raise TypeError("rational root search needs a polynomial over QQ")
     if p.is_zero():
         raise ValueError("zero polynomial")
-    ints, _ = _clear_denominators(p)
+    ints, _ = p.int_form()
     shift = 0
     while ints[shift] == 0:
         shift += 1
@@ -612,13 +667,16 @@ class SmoothnessFailure:
         return isinstance(other, SmoothnessFailure) and self.witness == other.witness
 
 
-def factor_over_primes(n: int, primes: Iterable[int], trial_limit: int = 10 ** 6):
+TRIAL_LIMIT = 10 ** 6
+
+
+def factor_over_primes(n: int, primes: Iterable[int]):
     """Exponent vector of |n| over the prime set, or a failure witness.
 
     Returns a dict {p: e} with only nonzero exponents on success.  On
     failure returns a SmoothnessFailure holding the smallest prime
     factor of the non-smooth remainder found by trial division, or the
-    string "composite remainder" if none below the trial limit.
+    string "composite remainder" if none up to TRIAL_LIMIT.
     """
     if n == 0:
         raise ValueError("smoothness of zero is undefined")
@@ -634,11 +692,11 @@ def factor_over_primes(n: int, primes: Iterable[int], trial_limit: int = 10 ** 6
     if m == 1:
         return out
     d = 2
-    while d <= trial_limit and d * d <= m:
+    while d <= TRIAL_LIMIT and d * d <= m:
         if m % d == 0:
             return SmoothnessFailure(d)
         d += 1
-    if m <= trial_limit * trial_limit:
+    if m <= TRIAL_LIMIT * TRIAL_LIMIT:
         return SmoothnessFailure(m)  # m itself is prime
     return SmoothnessFailure("composite remainder")
 
@@ -808,18 +866,7 @@ class NumberFieldElement:
     def inverse(self) -> "NumberFieldElement":
         if not self:
             raise ZeroDivisionError("inverse of zero in a number field")
-        # extended Euclid on (residue, minpoly)
-        a = Poly(QQ, self.coeffs)
-        b = self.field.minpoly
-        r0, r1 = a, b
-        s0, s1 = Poly(QQ, [1]), Poly(QQ, [])
-        while not r1.is_zero():
-            q, r = divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        if r0.degree != 0:
-            raise ZeroDivisionError("zero divisor: defining polynomial not irreducible")
-        inv = s0 * Poly(QQ, [QQ.one / r0.coeffs[0]])
+        inv = _inverse_mod(Poly(QQ, self.coeffs), self.field.minpoly)
         return self.field.element(list(inv.coeffs))
 
     def __truediv__(self, other):

@@ -378,6 +378,10 @@ def render_cert(m: CertificateManifest) -> str:
     return "\n".join(lines) + "\n"
 
 
+# names a claim line needs after its kind (for project, before "at")
+_CLAIM_FIELDS = {"profile": 2, "unramified": 3, "project": 3, "compose": 3, "conclude": 2}
+
+
 def parse_cert(text: str) -> CertificateManifest:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != CERT_HEADER:
@@ -427,6 +431,15 @@ def parse_cert(text: str) -> CertificateManifest:
         elif key == "claim":
             ckind, _, crest = rest.partition(" ")
             parts = crest.split()
+            if ckind == "project":
+                if "at" not in parts:
+                    raise ManifestError(f"project claim needs 'at': {ln!r}")
+                cut = parts.index("at")
+                parts, at_labels = parts[:cut], parts[cut + 1:]
+            if len(parts) < _CLAIM_FIELDS.get(ckind, 0):
+                raise ManifestError(f"too few fields in claim line {ln!r}")
+            if ckind in ("profile", "project", "compose") and parts[0] not in arrows:
+                raise ManifestError(f"claim names undeclared arrow {parts[0]!r}")
             if ckind == "profile":
                 claims.append(("profile", arrows[parts[0]], parts[1]))
             elif ckind == "assume":
@@ -435,12 +448,7 @@ def parse_cert(text: str) -> CertificateManifest:
             elif ckind == "unramified":
                 claims.append(("unramified", parts[0], parts[1], parts[2]))
             elif ckind == "project":
-                if "at" not in parts:
-                    raise ManifestError(f"project claim needs 'at': {ln!r}")
-                cut = parts.index("at")
-                claims.append(
-                    ("project", arrows[parts[0]], parts[1], parts[2], parts[cut + 1:])
-                )
+                claims.append(("project", arrows[parts[0]], parts[1], parts[2], at_labels))
             elif ckind == "compose":
                 claims.append(("compose", arrows[parts[0]], parts[1], parts[2]))
             elif ckind == "conclude":

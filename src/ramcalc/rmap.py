@@ -12,13 +12,13 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .exact import (
-    NumberField,
     NumberFieldElement,
     Poly,
     QQ,
+    _image_poly,
+    _inverse_mod,
     factor_over_primes,
     poly_gcd,
-    resultant,
     squarefree_part,
     SmoothnessFailure,
 )
@@ -236,10 +236,6 @@ class PointSet:
         self.has_inf = has_inf
 
     @staticmethod
-    def empty(field) -> "PointSet":
-        return PointSet(Poly(field, [1]), False)
-
-    @staticmethod
     def from_points(field, points: Iterable, has_inf: bool = False) -> "PointSet":
         distinct = []
         for p in points:
@@ -251,16 +247,6 @@ class PointSet:
     @property
     def field(self):
         return self.poly.field
-
-    def contains(self, x) -> bool:
-        if is_inf(x):
-            return self.has_inf
-        return not self.poly(self.field.coerce(x))
-
-    def union(self, other: "PointSet") -> "PointSet":
-        g = poly_gcd(self.poly, other.poly)
-        prod = self.poly * (other.poly // g) if g.degree > 0 else self.poly * other.poly
-        return PointSet(prod, self.has_inf or other.has_inf)
 
     def __eq__(self, other):
         if not isinstance(other, PointSet):
@@ -274,61 +260,33 @@ class PointSet:
 def image_set(f: RationalMap, s: PointSet) -> PointSet:
     """Zero set of the image of s under f, without locating any root.
 
-    The finite image polynomial is the squarefree part of
-    Res_x(s(x), P(x) - y Q(x)) as a polynomial in y, recovered by
-    exact interpolation.  The infinity flag propagates through eval.
+    Points of s that are poles of f go to infinity.  On the rest, f
+    agrees mod s with the polynomial F = P * Q^-1 mod s, so the finite
+    image polynomial is the characteristic polynomial of multiplication
+    by F mod s, made squarefree (`exact._image_poly`).  The point at
+    infinity goes to f(inf).
     """
     field = f.field
     has_inf = False
-    if s.has_inf:
-        v = f.eval(INF)
-        has_inf = has_inf or is_inf(v)
-    # image of poles of f that are zeros of s
-    pole_gcd = poly_gcd(s.poly, f.den)
-    if pole_gcd.degree > 0:
-        has_inf = True
-    finite_src = s.poly // pole_gcd if pole_gcd.degree > 0 else s.poly
     parts = []
     if s.has_inf:
         v = f.eval(INF)
-        if not is_inf(v):
+        if is_inf(v):
+            has_inf = True
+        else:
             parts.append(Poly(field, [-v, field.one]))
+    pole_gcd = poly_gcd(s.poly, f.den)
+    finite_src = s.poly
+    if pole_gcd.degree > 0:
+        has_inf = True
+        finite_src = s.poly // pole_gcd
     if finite_src.degree > 0:
-        deg_y = finite_src.degree
-        samples = []
-        k = 0
-        while len(samples) < deg_y + 1:
-            y = field.coerce(k)
-            val = resultant(finite_src, f.num - f.den * y)
-            samples.append((y, val))
-            k += 1
-        img = _interpolate(field, samples)
-        if img.degree < 0 or img.degree == 0 and not img.coeffs[0]:
-            raise ArithmeticError("degenerate image polynomial")
-        if img.degree > 0:
-            parts.append(squarefree_part(img))
+        parts.append(_image_poly(f.num * _inverse_mod(f.den, finite_src), finite_src))
     out = Poly(field, [1])
     for p in parts:
         g = poly_gcd(out, p)
         out = out * (p // g) if g.degree > 0 else out * p
     return PointSet(out, has_inf)
-
-
-def _interpolate(field, samples) -> Poly:
-    """Lagrange interpolation over the coefficient field."""
-    out = Poly(field, [])
-    for i, (xi, yi) in enumerate(samples):
-        if not yi:
-            continue
-        basis = Poly(field, [1])
-        denom = field.one
-        for j, (xj, _) in enumerate(samples):
-            if j == i:
-                continue
-            basis = basis * Poly(field, [-xj, field.one])
-            denom = denom * (xi - xj)
-        out = out + basis * (yi / denom)
-    return out
 
 
 # ---------------------------------------------------------------------------

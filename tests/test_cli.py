@@ -83,6 +83,34 @@ class TestVerify:
         assert code == 2
         assert "start index" in err
 
+    def test_claim_naming_undeclared_arrow_exits_two(self, capsys, tmp_path):
+        lines = bundled_text("prop7a.cert").splitlines(keepends=True)
+        kept = [ln for ln in lines if not ln.startswith(("arrow F2 ", "fiber F2 "))]
+        assert len(kept) == len(lines) - 4
+        p = tmp_path / "undeclared.cert"
+        p.write_text("".join(kept))
+        code, _, err = run(capsys, "verify", str(p))
+        assert code == 2
+        assert "undeclared arrow 'F2'" in err
+
+    @pytest.mark.parametrize(
+        "line, cut",
+        [
+            ("claim unramified f9 f1 F1", "claim unramified f9"),
+            ("claim profile f1 given", "claim profile f1"),
+            ("claim compose f6f10 f6 f10", "claim compose f6f10 f6"),
+            ("claim conclude X8n X16n", "claim conclude X8n"),
+        ],
+    )
+    def test_claim_with_too_few_fields_exits_two(self, capsys, tmp_path, line, cut):
+        text = bundled_text("prop7a.cert")
+        assert line + "\n" in text
+        p = tmp_path / "short.cert"
+        p.write_text(text.replace(line + "\n", cut + "\n"))
+        code, _, err = run(capsys, "verify", str(p))
+        assert code == 2
+        assert "too few fields" in err
+
     def test_missing_file_exits_two(self, capsys):
         code, _, err = run(capsys, "verify", "/nonexistent/path.chain")
         assert code == 2

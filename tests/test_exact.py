@@ -12,6 +12,7 @@ from ramcalc.exact import (
     NumberField,
     Poly,
     SmoothnessFailure,
+    _inverse_mod,
     _poly_gcd_degree_mod,
     cyclotomic,
     factor_over_primes,
@@ -272,6 +273,9 @@ class TestNumberField:
         K = NumberField.cyclotomic_field(7)
         x = K.gen + K.coerce(2)
         assert x * x.inverse() == K.one
+        # z - 1 shares the root 1 with z^2 - 1, so it is not a unit mod it
+        with pytest.raises(ZeroDivisionError):
+            _inverse_mod(Poly(QQ, [-1, 1]), Poly(QQ, [-1, 0, 1]))
 
     def test_rationality_detection(self):
         K = NumberField.cyclotomic_field(5)

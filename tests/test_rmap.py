@@ -82,6 +82,18 @@ class TestImageSet:
         s = PointSet.from_points(QQ, [2], has_inf=True)
         assert image_set(f, s) == PointSet.from_points(QQ, [Fraction(1, 2), 0])
 
+    def test_number_field_with_pole_and_infinity(self):
+        K = NumberField.cyclotomic_field(5)
+        t = K.gen
+        # f = (t z^2 + 1) / ((z - t^2)(z + 1)): a pole at t^2, f(inf) = t
+        f = RationalMap(Poly(K, [1, 0, t]), Poly.from_roots(K, [t ** 2, -1]))
+        points = [t ** 2, K.coerce(0), t + 1, K.coerce(Fraction(1, 2)), t ** 3 - t]
+        s = PointSet.from_points(K, points, has_inf=True)
+        images = [f(x) for x in points] + [f(INF)]
+        assert f(INF) == t and [is_inf(y) for y in images].count(True) == 1
+        expected = PointSet.from_points(K, [y for y in images if not is_inf(y)], has_inf=True)
+        assert image_set(f, s) == expected
+
 
 class TestChainVerification:
     def test_bundled_chain_passes(self):
