@@ -457,9 +457,14 @@ def cmd_relation_classes(args) -> int:
     nodes = [_parse_curve_node(s) for s in args.nodes]
     classes = store.equivalence_classes(nodes, bound=args.bound)
     rendered = sorted(sorted(str(n) for n in cls) for cls in classes)
+    search = store.last_search
     _emit(
-        {"classes": rendered, "count": len(rendered)},
-        [" ".join(cls) for cls in rendered] + [f"count: {len(rendered)}"],
+        {"classes": rendered, "count": len(rendered), "search": search},
+        [" ".join(cls) for cls in rendered]
+        + [
+            f"count: {len(rendered)}",
+            f"searched: {search['nodes_reached']} nodes, {search['edges']} edges",
+        ],
         args.json,
     )
     return EXIT_PASS

@@ -5,14 +5,18 @@ Nodes are either curves C(n) (y^2 = x^n - 1) or named class nodes
 curves).  Edge rules are parametrized monomial rewrites C(c*n) =>
 C(c'*n) with side conditions, backed either by a bundled verified
 artifact or by an explicit axiom tag.  Reachability is bounded
-breadth-first search; traces re-validate independently.
+breadth-first search on plain keys (a curve level is an int, a class
+node its name); traces re-validate independently through the per-rule
+matcher `EdgeRule.successors`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field as dc_field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 STORE_HEADER = "ramcalc-rules 1"
@@ -89,6 +93,8 @@ class NodePattern:
         if m.group(3):
             return NodePattern("monomial", coeff=1)
         coeff = int(m.group(1))
+        if coeff == 0:
+            raise StoreFormatError(f"bad node pattern {s!r}: coefficient must be >= 1")
         if m.group(2):
             return NodePattern("monomial", coeff=coeff)
         return NodePattern("const", coeff=coeff)
@@ -131,7 +137,7 @@ class EdgeRule:
         if self.target.form == "divisor":
             raise ValueError("divisor pattern is only legal as a source")
 
-    @property
+    @cached_property
     def min_param(self) -> int:
         return int(_COND_RE.match(self.condition).group(1))
 
@@ -179,12 +185,11 @@ class EdgeRule:
 
 
 def _proper_divisors(m: int):
-    """Proper divisors from a small-prime factorization.
+    """Sorted proper divisors of m, from its full factorization.
 
     Curve levels in this graph are smooth by construction, so trial
-    division by small primes factors them completely; any unfactored
-    remainder is kept as a single block (its internal divisors are
-    irrelevant for the smooth targets the search cares about).
+    division by the primes below 1000 usually factors them completely;
+    a remainder that trial division cannot settle goes to sympy.
     """
     factors = []
     rest = m
@@ -197,12 +202,21 @@ def _proper_divisors(m: int):
                 rest //= p
                 e += 1
             factors.append((p, e))
+    else:
+        # rest >= 999^2 has no prime factor below 1000 and may be composite
+        from sympy import factorint
+
+        factors += sorted(factorint(rest).items())
+        rest = 1
     if rest > 1:
         factors.append((rest, 1))
     divs = [1]
     for p, e in factors:
-        divs = [d * p ** i for d in divs for i in range(e + 1)]
-    return sorted(d for d in divs if d != m)
+        powers = [p ** i for i in range(e + 1)]
+        divs = [d * q for d in divs for q in powers]
+    divs.sort()
+    divs.pop()  # m itself
+    return divs
 
 
 @dataclass
@@ -255,6 +269,8 @@ class RuleStore:
     def __init__(self):
         self._rules: dict = {}  # content hash -> EdgeRule
         self._sorted: Optional[list] = None
+        # counters of the latest search: nodes reached, nodes expanded, edges
+        self.last_search: Optional[dict] = None
 
     def __iter__(self):
         if self._sorted is None or len(self._sorted) != len(self._rules):
@@ -336,10 +352,14 @@ class RuleStore:
             value_cap = max(ends, default=1) * CAP_FACTOR
         if source == target:
             return DerivationTrace(steps=[])
+        goal = _key(target)
         parent: dict = {}
-        for _ in self._walk([source], bound, value_cap, parent):
-            if target in parent:
-                return _build_trace(parent, target)
+        for _ in self._walk([_key(source)], bound, value_cap, parent):
+            if goal in parent:
+                path = [goal]
+                while parent[path[-1]] is not None:
+                    path.append(parent[path[-1]][0])
+                return _build_trace(_node_map(parent, path), target)
         return None
 
     def search_tree(
@@ -358,9 +378,9 @@ class RuleStore:
             base = source.n if source.kind == "curve" else 1
             value_cap = max(base, 1) * CAP_FACTOR
         parent: dict = {}
-        for _ in self._walk([source], bound, value_cap, parent):
+        for _ in self._walk([_key(source)], bound, value_cap, parent):
             pass
-        return parent
+        return _node_map(parent, parent)
 
     @staticmethod
     def trace_to(parent: dict, target: CurveNode) -> Optional[DerivationTrace]:
@@ -379,95 +399,156 @@ class RuleStore:
             return []
         levels = [n.n for n in nodes if n.kind == "curve"]
         value_cap = max(levels, default=1) * CAP_FACTOR
+        keys = [_key(node) for node in nodes]
         parent: dict = {}
-        expanded = {
-            node: [succ for _, _, succ in edges]
-            for node, edges in self._walk(nodes, bound, value_cap, parent)
-        }
+        expanded = dict(self._walk(keys, bound, value_cap, parent))
         # nodes first reached at the depth bound are never expanded
-        adjacency = {node: expanded.get(node, []) for node in parent}
+        adjacency = {key: expanded.get(key, []) for key in parent}
         component = _strongly_connected(adjacency)
         classes: dict = {}
-        for node in nodes:
-            classes.setdefault(component[node], []).append(node)
+        for node, key in zip(nodes, keys):
+            classes.setdefault(component[key], []).append(node)
         return list(classes.values())
 
     def _walk(self, sources: list, bound: int, value_cap: int, parent: dict):
-        """Breadth-first frontier walk, at most `bound` levels deep.
+        """Breadth-first frontier walk on keys, at most `bound` levels deep.
 
         Fills `parent` with the first edge (predecessor, rule,
-        parameter) into each reached node, None at the sources, and
-        yields (node, [(rule, parameter, successor), ...]) for each
-        expanded node: every edge in rule order whose curve level is
-        within `value_cap`, repeats included.
+        parameter) into each reached key, None at the sources, and
+        yields (key, [successor, ...]) for each expanded key: the
+        target of every edge in rule order whose curve level is within
+        `value_cap`, repeats included.  `last_search` counts the nodes
+        reached and expanded and the edges yielded so far.
         """
-        for node in sources:
-            parent[node] = None
+        # each rule compiled once: (rule, source form, coeff, name,
+        # target form, coeff, name, min_param)
+        rules = [
+            (r, r.source.form, r.source.coeff, r.source.name,
+             r.target.form, r.target.coeff, r.target.name, r.min_param)
+            for r in self
+        ]
+        divisors: dict = {}
+        stats = self.last_search = {"nodes_reached": 0, "nodes_expanded": 0, "edges": 0}
+        for key in sources:
+            parent[key] = None
         frontier = list(sources)
         for _ in range(bound):
             nxt = []
-            for node in frontier:
-                edges = []
-                for rule in self:
-                    for param, succ in rule.successors(node):
-                        if succ.kind == "curve" and succ.n > value_cap:
+            for key in frontier:
+                succs = []
+                level = key if type(key) is int else None
+                for rule, sform, scoeff, sname, tform, tcoeff, tname, lo in rules:
+                    if sform == "class":
+                        if key != sname:
                             continue
-                        edges.append((rule, param, succ))
-                        if succ not in parent:
-                            parent[succ] = (node, rule, param)
-                            nxt.append(succ)
-                yield node, edges
+                        param, n = None, 1
+                    elif level is None:
+                        continue
+                    elif sform == "monomial":
+                        if level % scoeff:
+                            continue
+                        param = n = level // scoeff
+                        if n < lo:
+                            continue
+                    elif sform == "const":
+                        if level != scoeff or lo > 1:
+                            continue
+                        param = n = 1
+                    else:  # divisor, target C(n)
+                        ds = divisors.get(level)
+                        if ds is None:
+                            ds = divisors[level] = _proper_divisors(level)
+                        ds = ds[bisect_left(ds, lo):bisect_right(ds, value_cap)]
+                        succs += ds
+                        for d in ds:
+                            if d not in parent:
+                                parent[d] = (key, rule, d)
+                                nxt.append(d)
+                        continue
+                    if tform == "class":
+                        succ = tname
+                    else:
+                        succ = tcoeff if tform == "const" else tcoeff * n
+                        if succ > value_cap:
+                            continue
+                    succs.append(succ)
+                    if succ not in parent:
+                        parent[succ] = (key, rule, param)
+                        nxt.append(succ)
+                stats["nodes_reached"] = len(parent)
+                stats["nodes_expanded"] += 1
+                stats["edges"] += len(succs)
+                yield key, succs
             if not nxt:
                 break
             frontier = nxt
 
 
+def _key(node: CurveNode):
+    return node.n if node.kind == "curve" else node.name
+
+
+def _node_map(parent: dict, keys: Iterable) -> dict:
+    """The entries of a key parent map at `keys`, in their order, on
+    CurveNodes; every predecessor must be among `keys`."""
+    nodes = {
+        key: CurveNode.curve(key) if type(key) is int else CurveNode.named(key)
+        for key in keys
+    }
+    return {
+        node: None if parent[key] is None else (nodes[parent[key][0]],) + parent[key][1:]
+        for key, node in nodes.items()
+    }
+
+
 def _strongly_connected(adjacency: dict) -> dict:
-    """Node -> component id, by iterative Tarjan."""
+    """Key -> component id, by iterative Tarjan.
+
+    A key whose component is settled gets an index above every other,
+    so `index` alone tells the three states apart: unvisited (absent),
+    on the stack (its visit order), settled (`done`).
+    """
     index = {}
     low = {}
-    on_stack = set()
     stack = []
     component = {}
-    counter = [0]
-    comp_id = [0]
+    comp_id = 0
+    done = len(adjacency)
 
     for root in adjacency:
         if root in index:
             continue
-        work = [(root, iter(adjacency[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+        index[root] = low[root] = len(index)
         stack.append(root)
-        on_stack.add(root)
+        work = [(root, iter(adjacency[root]))]
         while work:
             node, it = work[-1]
             advanced = False
             for succ in it:
-                if succ not in index:
-                    index[succ] = low[succ] = counter[0]
-                    counter[0] += 1
+                i = index.get(succ)
+                if i is None:
+                    index[succ] = low[succ] = len(index)
                     stack.append(succ)
-                    on_stack.add(succ)
                     work.append((succ, iter(adjacency[succ])))
                     advanced = True
                     break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
+                if i < low[node]:
+                    low[node] = i
             if advanced:
                 continue
             work.pop()
             if work:
                 pred = work[-1][0]
-                low[pred] = min(low[pred], low[node])
+                if low[node] < low[pred]:
+                    low[pred] = low[node]
             if low[node] == index[node]:
                 while True:
                     w = stack.pop()
-                    on_stack.discard(w)
-                    component[w] = comp_id[0]
+                    index[w] = done
+                    component[w] = comp_id
                     if w == node:
                         break
-                comp_id[0] += 1
+                comp_id += 1
     return component
 
 

@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, report rendering, byte stability."""
 
+import hashlib
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -231,6 +233,86 @@ class TestRelation:
         assert code == 0
         payload = json.loads(out)
         assert payload["count"] == 1
+
+    def test_classes_report_search_counters(self, capsys):
+        argv = ["relation", "classes", "C(8)", "C(16)", "C(7)", "--bound", "6"]
+        code, out, _ = run(capsys, *argv, "--json", "--deterministic")
+        assert code == 0
+        search = json.loads(out)["search"]
+        assert set(search) == {"nodes_reached", "nodes_expanded", "edges"}
+        assert 0 < search["nodes_expanded"] <= search["nodes_reached"] < search["edges"]
+        assert run(capsys, *argv, "--json", "--deterministic")[1] == out
+        code, out, _ = run(capsys, *argv)
+        lines = out.splitlines()
+        assert lines[-2] == "count: 2"
+        assert lines[-1] == (f"searched: {search['nodes_reached']} nodes, "
+                             f"{search['edges']} edges")
+
+    def test_divisor_of_two_primes_above_1000(self, capsys):
+        code, out, _ = run(capsys, "relation", "query", "C(1022117)", "C(1009)")
+        assert code == 0
+        assert "divisor, n=1009" in out
+
+    @pytest.mark.parametrize("src, tgt", [("C(0n)", "C(4n)"), ("C(2n)", "C(0)"),
+                                          ("C(2n)", "C(0n)")])
+    def test_zero_coefficient_store_exits_two(self, capsys, tmp_path, src, tgt):
+        content = (f"rule zero kind=axiom source={src} target={tgt} cond=n>=1 "
+                   "provenance=test-citation")
+        store = tmp_path / "zero.store"
+        store.write_text(bundled_text("rules.store")
+                         + f"{content} sha256={hashlib.sha256(content.encode()).hexdigest()}\n")
+        for argv in (["query", "C(6)", "C(48)"], ["classes", "C(6)", "C(8)"]):
+            code, _, err = run(capsys, "relation", *argv, "--store", str(store))
+            assert code == 2
+            assert err.startswith("error:")
+
+    @pytest.mark.parametrize("src, tgt", [("C(0n)", "C(4n)"), ("C(2n)", "C(0)"),
+                                          ("C(2n)", "C(0n)")])
+    def test_add_zero_coefficient_exits_two(self, capsys, tmp_path, src, tgt):
+        store = tmp_path / "my.store"
+        store.write_text(bundled_text("rules.store"))
+        code, _, err = run(capsys, "relation", "add", "--store", str(store),
+                           "--id", "zero", "--source", src, "--target", tgt,
+                           "--kind", "axiom", "--provenance", "test-citation")
+        assert code == 2
+        assert err.startswith("error:")
+        assert store.read_text() == bundled_text("rules.store")
+
+    def test_store_fuzz_never_raises(self, capsys, tmp_path):
+        # seeded mutants of the bundled store, most with a recomputed
+        # sha256 so that the rule parser and the searches see them
+        rng = random.Random(6)
+        lines = bundled_text("rules.store").splitlines()
+        patterns = ["C(0)", "C(0n)", "C(00n)", "C(n)", "C(kn)", "C(1)", "C(7n)", "C()",
+                    "C(n0)", "C(-2n)", "C(99999999999999999999n)", "cls",
+                    "hyperbolic-hyperelliptic"]
+        # values for id, kind=, source=, target=, cond=, provenance=
+        pools = {1: ["", "x", "divisor"], 2: ["axiom", "verified", "bogus", ""],
+                 3: patterns, 4: patterns,
+                 5: ["n>=0", "n>=", "n>=x", "n>=99", "n>=1", "n<=1"],
+                 6: ["", "prop6.cert", "missing.cert"]}
+        store = tmp_path / "fuzz.store"
+        for _ in range(300):
+            i = rng.randrange(1, len(lines))
+            content = lines[i].rsplit(" sha256=", 1)[0]
+            fields = content.split(" ")
+            j = rng.choice([1, 2, 3, 3, 4, 4, 5, 6])
+            if rng.random() < 0.6:
+                key, eq, _ = fields[j].partition("=")
+                fields[j] = key + eq + rng.choice(pools[j]) if eq else rng.choice(pools[j])
+            else:
+                k = rng.randrange(len(fields[j]) + 1)
+                fields[j] = fields[j][:k] + rng.choice("()=nk0123456789 x-") + fields[j][k + 1:]
+            content = " ".join(fields)
+            digest = (hashlib.sha256(content.encode()).hexdigest() if rng.random() < 0.8
+                      else "0" * 64)
+            mutant = lines[:i] + [f"{content} sha256={digest}"] + lines[i + 1:]
+            store.write_text("\n".join(mutant) + "\n")
+            for argv in (["query", "C(6)", "C(48)"], ["classes", "C(6)", "C(8)"]):
+                code, _, err = run(capsys, "relation", *argv, "--store", str(store),
+                                   "--bound", "3")
+                assert code in (0, 1, 2), (mutant[i], code)
+                assert code != 2 or err.startswith("error:"), mutant[i]
 
     def test_add_rejects_unverified(self, capsys, tmp_path):
         store = tmp_path / "my.store"
