@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import isqrt
 
 from . import __version__
 from .belyi import (
@@ -56,6 +57,8 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+MAX_LISTED_PRIME = 10 ** 12
+
 
 class UsageError(ValueError):
     pass
@@ -79,9 +82,17 @@ def _read_text(path: str) -> str:
 
 def _parse_primes(s: str) -> tuple:
     try:
-        return tuple(sorted({int(p) for p in s.split(",") if p.strip()}))
+        primes = tuple(sorted({int(p) for p in s.split(",") if p.strip()}))
     except ValueError:
         raise UsageError(f"bad prime list {s!r}")
+    # trial division: prime lists are short and their entries small;
+    # the size limit keeps it under a second
+    for p in primes:
+        if p > MAX_LISTED_PRIME:
+            raise UsageError(f"{p} in the prime list is above {MAX_LISTED_PRIME}")
+        if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+            raise UsageError(f"{p} in the prime list is not a prime")
+    return primes
 
 
 def _parse_rationals(s: str) -> list:

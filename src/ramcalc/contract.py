@@ -93,9 +93,6 @@ class AlgebraicPointSet:
     def max_degree(self) -> int:
         return max((p.degree for p in self.polys), default=0)
 
-    def degree_multiset(self) -> tuple:
-        return tuple(sorted((p.degree for p in self.polys), reverse=True))
-
     def measure(self) -> tuple:
         """(max degree, count at max degree) — strictly drops each step."""
         m = self.max_degree()
@@ -176,7 +173,6 @@ class ReductionStep:
     targets: list
     cofactor: Poly
     product: Poly  # F = f * g, degree 2^k
-    finite_ram: list  # verified (point-or-polynomial, index) data
     coeff_bits: int  # largest numerator/denominator bit size in F
 
 
@@ -205,7 +201,7 @@ def default_targets():
         k += 1
 
 
-def _check_step(F: Poly, targets: list) -> list:
+def _check_step(F: Poly, targets: list) -> None:
     """Verify the per-step ramification certificate of F as a map.
 
     F' vanishes at each target, F' is squarefree (so all finite
@@ -218,25 +214,25 @@ def _check_step(F: Poly, targets: list) -> list:
     if not _is_squarefree_qq(Fp):
         raise ArithmeticError("F' is not squarefree")
     fmap = RationalMap(F, Poly(QQ, [1]))
-    ram = []
     for x in targets:
         e = fmap.local_index(x)
         if e != 2:
             raise ArithmeticError(f"finite index at {x} is {e}, not 2")
-        ram.append((x, 2))
     if fmap.local_index(INF) != F.degree:
         raise ArithmeticError("index at infinity is not deg F")
     # Riemann-Hurwitz completeness: deg F - 1 simple finite critical
     # points plus index deg F at infinity gives exactly 2 deg F - 2
     if Fp.degree != F.degree - 1:
         raise ArithmeticError("critical divisor has the wrong degree")
-    return ram
 
 
-def _max_coeff_bits(p: Poly) -> int:
+def _capped_bits(p: Poly, height_cap: Optional[int]) -> int:
+    """Largest numerator/denominator bit size in p, checked against the cap."""
     bits = 0
     for c in p.coeffs:
         bits = max(bits, c.numerator.bit_length(), c.denominator.bit_length())
+    if height_cap is not None and bits > height_cap:
+        raise HeightCapExceeded(f"coefficient size {bits} bits exceeds cap {height_cap}")
     return bits
 
 
@@ -247,15 +243,12 @@ def _admissible_step(f: Poly, k: int, targets: list, height_cap: Optional[int]):
     try:
         g = build_cofactor(f, targets)
         F = f * g
-        finite_ram = _check_step(F, targets)
+        _check_step(F, targets)
     except (SingularSystem, TargetCollision, ArithmeticError):
         return None
-    bits = _max_coeff_bits(F)
-    if height_cap is not None and bits > height_cap:
-        raise HeightCapExceeded(f"coefficient size {bits} bits exceeds cap {height_cap}")
     return ReductionStep(
         eliminated=f, k=k, r=len(targets), targets=targets, cofactor=g,
-        product=F, finite_ram=finite_ram, coeff_bits=bits,
+        product=F, coeff_bits=_capped_bits(F, height_cap),
     )
 
 
@@ -272,7 +265,8 @@ def reduction_step(S: AlgebraicPointSet, height_cap: Optional[int] = None):
     cofactor with their images.  Only that cofactor is factored; the
     image of an irreducible entry is the minimal polynomial of F(alpha)
     and is taken as it is.  The degree-m count strictly drops: roots of
-    f go to the rational point 0.
+    f go to the rational point 0.  F and each image polynomial are held
+    to `height_cap` as soon as they are built (HeightCapExceeded).
     """
     m = S.max_degree()
     if m < 2:
@@ -306,9 +300,15 @@ def reduction_step(S: AlgebraicPointSet, height_cap: Optional[int] = None):
             raise StrategyExhausted(attempts)
 
     F = step.product
+
+    def image(p):
+        q = _image_poly(F, p)
+        _capped_bits(q, height_cap)
+        return q
+
     # rational points stay rational under every later map; carry them
     # along untouched instead of pushing them forward
-    new_polys = [p if p.degree == 1 else _image_poly(F, p) for p in S.polys]
+    new_polys = [p if p.degree == 1 else image(p) for p in S.polys]
     # ramification data: targets and the remaining critical cofactor, plus images
     crit = F.derivative().monic()
     for x in step.targets:
@@ -317,7 +317,7 @@ def reduction_step(S: AlgebraicPointSet, height_cap: Optional[int] = None):
         new_polys.append(Poly(QQ, [-F(x), 1]))
     for q in _irreducible_factors(crit):
         new_polys.append(q)
-        new_polys.append(_image_poly(F, q))
+        new_polys.append(image(q))
     new_set = AlgebraicPointSet.from_irreducible(new_polys, has_inf=True)
 
     old_measure, new_measure = S.measure(), new_set.measure()

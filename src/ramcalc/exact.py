@@ -100,14 +100,6 @@ class Poly:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def const(field, c) -> "Poly":
-        return Poly(field, [c])
-
-    @staticmethod
-    def x(field) -> "Poly":
-        return Poly(field, [0, 1])
-
-    @staticmethod
     def from_roots(field, roots: Sequence) -> "Poly":
         p = Poly(field, [1])
         for r in roots:
@@ -607,13 +599,19 @@ def _charpoly(field, matrix: list) -> Poly:
 
 
 def cyclotomic(n: int) -> Poly:
-    """The n-th cyclotomic polynomial, by iterated exact division of z^n - 1."""
+    """The n-th cyclotomic polynomial, by iterated exact division of z^n - 1.
+
+    Every division by Phi_d, d | n, d < n, is checked to leave no
+    remainder, so the result times those Phi_d is z^n - 1 exactly.
+    """
     if n < 1:
         raise ValueError("cyclotomic index must be positive")
     num = Poly(QQ, [-1] + [0] * (n - 1) + [1])
     for d in range(1, n):
         if n % d == 0:
-            num = num // cyclotomic(d)
+            num, rem = divmod(num, cyclotomic(d))
+            if rem:
+                raise ArithmeticError(f"Phi_{d} does not divide z^{n} - 1")
     return num
 
 
@@ -715,12 +713,18 @@ MAX_CHECKED_DEGREE = 8
 class NumberField:
     """Q[a]/(p(a)) for a monic irreducible integer polynomial p.
 
-    Irreducibility is certified at construction for degree <= 8 (via a
-    factorization check); larger degrees must be constructed with
-    assume_irreducible=True and carry that flag.
+    Irreducibility is certified at construction: by factoring for
+    degree <= 8 (larger degrees are refused), and by Gauss's theorem
+    for the cyclotomic fields of `cyclotomic_field`.
     """
 
-    def __init__(self, minpoly: Poly, name: str = "a", assume_irreducible: bool = False):
+    def __init__(self, minpoly: Poly, name: str = "a"):
+        self._setup(minpoly, name)
+        # is_irreducible refuses degrees above MAX_CHECKED_DEGREE
+        if not is_irreducible(minpoly):
+            raise ValueError("defining polynomial is reducible over Q")
+
+    def _setup(self, minpoly: Poly, name: str):
         if minpoly.field != QQ:
             raise TypeError("defining polynomial must be over QQ")
         if minpoly.degree < 1:
@@ -733,26 +737,15 @@ class NumberField:
         self._minpoly_ints = minpoly.int_form()[0]
         self.name = name
         self.degree = minpoly.degree
-        self.assumed_irreducible = False
-        if assume_irreducible:
-            self.assumed_irreducible = True
-        elif self.degree <= MAX_CHECKED_DEGREE:
-            if not is_irreducible(minpoly):
-                raise ValueError("defining polynomial is reducible over Q")
-        else:
-            raise ValueError(
-                "degree above the checking bound; pass assume_irreducible=True"
-            )
         self._cyclotomic_index = None
 
     @staticmethod
     def cyclotomic_field(n: int) -> "NumberField":
-        phi = cyclotomic(n)
-        if phi.degree <= MAX_CHECKED_DEGREE:
-            fld = NumberField(phi, name="t")
-        else:
-            fld = NumberField(phi, name="t", assume_irreducible=True)
-            fld.assumed_irreducible = False  # cyclotomics are irreducible
+        """Q(zeta_n), at any degree and without factoring: Phi_n is
+        irreducible over Q, and `cyclotomic` checks that its result is
+        Phi_n."""
+        fld = NumberField.__new__(NumberField)
+        fld._setup(cyclotomic(n), "t")
         fld._cyclotomic_index = n
         return fld
 

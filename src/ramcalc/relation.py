@@ -345,13 +345,8 @@ class RuleStore:
         blow levels up far beyond both endpoints before contracting
         them back down); the default cap is generous desk scale.
         """
-        if bound < 1:
-            raise ValueError("search bound must be >= 1")
         if value_cap is None:
-            ends = [x.n for x in (source, target) if x.kind == "curve"]
-            value_cap = max(ends, default=1) * CAP_FACTOR
-        if source == target:
-            return DerivationTrace(steps=[])
+            value_cap = _default_cap([source, target])
         goal = _key(target)
         parent: dict = {}
         for _ in self._walk([_key(source)], bound, value_cap, parent):
@@ -375,8 +370,7 @@ class RuleStore:
         extract a derivation.
         """
         if value_cap is None:
-            base = source.n if source.kind == "curve" else 1
-            value_cap = max(base, 1) * CAP_FACTOR
+            value_cap = _default_cap([source])
         parent: dict = {}
         for _ in self._walk([_key(source)], bound, value_cap, parent):
             pass
@@ -397,11 +391,9 @@ class RuleStore:
         nodes = list(dict.fromkeys(nodes))
         if not nodes:
             return []
-        levels = [n.n for n in nodes if n.kind == "curve"]
-        value_cap = max(levels, default=1) * CAP_FACTOR
         keys = [_key(node) for node in nodes]
         parent: dict = {}
-        expanded = dict(self._walk(keys, bound, value_cap, parent))
+        expanded = dict(self._walk(keys, bound, _default_cap(nodes), parent))
         # nodes first reached at the depth bound are never expanded
         adjacency = {key: expanded.get(key, []) for key in parent}
         component = _strongly_connected(adjacency)
@@ -420,6 +412,8 @@ class RuleStore:
         `value_cap`, repeats included.  `last_search` counts the nodes
         reached and expanded and the edges yielded so far.
         """
+        if bound < 1:
+            raise ValueError("search bound must be >= 1")
         # each rule compiled once: (rule, source form, coeff, name,
         # target form, coeff, name, min_param)
         rules = [
@@ -482,6 +476,12 @@ class RuleStore:
             if not nxt:
                 break
             frontier = nxt
+
+
+def _default_cap(nodes: list) -> int:
+    """The curve-level cap of a search around `nodes`: the largest of
+    their levels (1 if none is a curve) times CAP_FACTOR."""
+    return max((x.n for x in nodes if x.kind == "curve"), default=1) * CAP_FACTOR
 
 
 def _key(node: CurveNode):

@@ -109,10 +109,6 @@ class RationalMap:
     def degree(self) -> int:
         return max(self.num.degree, self.den.degree)
 
-    @staticmethod
-    def from_coeffs(field, num: Iterable, den: Iterable = (1,)) -> "RationalMap":
-        return RationalMap(Poly(field, num), Poly(field, den))
-
     def __eq__(self, other):
         if not isinstance(other, RationalMap):
             return NotImplemented
@@ -332,7 +328,9 @@ def verify_chain(manifest) -> ChainReport:
     the claimed ramification divisor and the claimed output set; any
     disagreement with the recorded claim is reported as a failure (a
     paper erratum is a failure with erratum=True, never silently
-    corrected).
+    corrected).  A step whose check raises leaves the tracked points
+    as they were; a step whose only fault is its claimed output set
+    still moves them.
     """
     field = manifest.field
     tracked: dict = {}
@@ -343,9 +341,21 @@ def verify_chain(manifest) -> ChainReport:
         rep = ChainStepReport(name=step.name, status="pass")
         try:
             if step.kind == "belyi":
-                tracked = _verify_belyi_step(field, step, tracked, rep)
+                move, branch, note = _belyi_step(field, step)
             else:
-                tracked = _verify_map_step(field, step, tracked, rep)
+                move, branch, note = _map_step(step)
+            pushed = []
+            for pt, idxs in tracked.values():
+                img, e = move(pt)
+                pushed.append((img, {a * e for a in idxs}))
+            pushed += [(img, {e}) for img, e in branch]
+            new_tracked: dict = {}
+            for img, indices in pushed:
+                new_tracked.setdefault(_point_key(img), [img, set()])[1].update(indices)
+            _claimed_set_check(step.out, new_tracked, rep)
+            if note:
+                rep.details.append(note)
+            tracked = new_tracked
         except VerificationError as exc:
             rep.status = "fail"
             rep.details.append(str(exc))
@@ -386,7 +396,9 @@ def _claimed_set_check(claimed_points, new_tracked, rep):
         )
 
 
-def _verify_map_step(field, step, tracked, rep):
+def _map_step(step):
+    """(move, branch images, note) of a map or automorphism step, after
+    its claimed ramification divisor is verified."""
     f = step.map
     claimed = [RamPoint(p, e) for p, e in step.ram]
     if step.kind == "auto":
@@ -396,25 +408,16 @@ def _verify_map_step(field, step, tracked, rep):
             raise VerificationError(f"step {step.name}: automorphism cannot ramify")
     else:
         f.ram_divisor(claimed)
-    new_tracked: dict = {}
 
-    def push(point, indices):
-        key = _point_key(point)
-        slot = new_tracked.setdefault(key, [point, set()])
-        slot[1].update(indices)
+    def move(pt):
+        return f.eval(pt), f.local_index(pt)
 
-    for key, (pt, idxs) in tracked.items():
-        e = f.local_index(pt)
-        img = f.eval(pt)
-        push(img, {a * e for a in idxs})
-    for rp in claimed:
-        img = f.eval(rp.point)
-        push(img, {rp.index})
-    _claimed_set_check(step.out, new_tracked, rep)
-    return new_tracked
+    return move, [(f.eval(rp.point), rp.index) for rp in claimed], None
 
 
-def _verify_belyi_step(field, step, tracked, rep):
+def _belyi_step(field, step):
+    """(move, branch images, note) of a belyi-form step, which is
+    verified in closed form and never expanded."""
     from .belyi import BelyiTuple, verify_belyi, NotBelyiForm
 
     t = BelyiTuple(step.support, step.exponents)
@@ -424,14 +427,8 @@ def _verify_belyi_step(field, step, tracked, rep):
         raise VerificationError(f"step {step.name}: {exc}")
     support = {QQ.coerce(n): r for n, r in zip(t.support, t.exponents)}
     k = len(t.support)
-    new_tracked: dict = {}
 
-    def push(point, indices):
-        key = _point_key(point)
-        slot = new_tracked.setdefault(key, [point, set()])
-        slot[1].update(indices)
-
-    def image_and_index(pt):
+    def move(pt):
         if is_inf(pt):
             return field.one, k - 1
         if isinstance(pt, NumberFieldElement):
@@ -449,13 +446,6 @@ def _verify_belyi_step(field, step, tracked, rep):
             return field.zero, r
         return INF, -r
 
-    for key, (pt, idxs) in tracked.items():
-        img, e = image_and_index(pt)
-        push(img, {a * e for a in idxs})
-    for n, r in zip(t.support, t.exponents):
-        img = field.zero if r > 0 else INF
-        push(img, {abs(r)})
-    push(field.one, {k - 1})
-    _claimed_set_check(step.out, new_tracked, rep)
-    rep.details.append(f"belyi-form step of degree {verification.degree} (not expanded)")
-    return new_tracked
+    branch = [(field.zero if r > 0 else INF, abs(r)) for r in t.exponents]
+    branch.append((field.one, k - 1))
+    return move, branch, f"belyi-form step of degree {verification.degree} (not expanded)"

@@ -4,10 +4,14 @@ import hashlib
 import json
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ramcalc
 from ramcalc.cli import main
 from ramcalc.manifest import bundled_text
 
@@ -113,6 +117,25 @@ class TestVerify:
         assert code == 2
         assert "too few fields" in err
 
+    def test_verify_never_imports_sympy(self):
+        # a fresh interpreter, since other tests load sympy into this one;
+        # the verify reports go to stdout, the summary is its last line
+        script = """
+import sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from ramcalc import cli
+data = Path(sys.argv[1]) / "ramcalc" / "data"
+paths = sorted(p for p in data.iterdir() if p.suffix in (".chain", ".cert"))
+codes = [cli.main(["verify", str(p)]) for p in paths]
+print(len(paths), codes.count(0), "sympy" in sys.modules)
+"""
+        src = Path(ramcalc.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", script, str(src)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "10 10 False"
+
     def test_missing_file_exits_two(self, capsys):
         code, _, err = run(capsys, "verify", "/nonexistent/path.chain")
         assert code == 2
@@ -149,6 +172,16 @@ class TestBelyi:
                            "--primes", "2,3", "--json")
         payload = json.loads(out)
         assert all(item["factors"] is not None for item in payload["factorizations"])
+
+    @pytest.mark.parametrize("sub", ["exponents", "verify", "search"])
+    def test_non_prime_exits_two(self, capsys, tmp_path, sub):
+        p = tmp_path / "tuple.belyi"
+        p.write_text("ramcalc-belyi 1\nsupport 0 1 5 6\nexponents 2 -3 3 -2\n")
+        argv = {"exponents": ["0,1,5,6"], "verify": [str(p)], "search": ["--box", "10"]}[sub]
+        code, out, err = run(capsys, "belyi", sub, *argv, "--primes", "2,4")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_verify_file(self, capsys, tmp_path):
         p = tmp_path / "tuple.belyi"
@@ -210,6 +243,16 @@ class TestContract:
         assert payload["passed"] is False
         assert re.fullmatch(r"coefficient size \d+ bits exceeds cap 8", payload["error"])
 
+    def test_height_cap_holds_on_images(self, capsys):
+        # F of the stopping step fits under 2^16; an image it builds does
+        # not, and the run stops there instead of at the next F (374638 bits)
+        code, out, _ = run(capsys, "contract", "z^5-3", "--height-cap", "65536", "--json")
+        assert code == 1
+        payload = json.loads(out)
+        bits = int(re.fullmatch(r"coefficient size (\d+) bits exceeds cap 65536",
+                                payload["error"]).group(1))
+        assert 65536 < bits < 374638
+
 
 class TestRelation:
     def test_query_reference_chain(self, capsys):
@@ -247,6 +290,15 @@ class TestRelation:
         assert lines[-2] == "count: 2"
         assert lines[-1] == (f"searched: {search['nodes_reached']} nodes, "
                              f"{search['edges']} edges")
+
+    @pytest.mark.parametrize("argv", [["classes", "C(6)", "C(8)"], ["query", "C(6)", "C(8)"],
+                                      ["trace", "C(6)", "C(8)"], ["query", "C(6)", "C(6)"]])
+    def test_bound_below_one_exits_two(self, capsys, argv):
+        for bound in ("0", "-1"):
+            code, out, err = run(capsys, "relation", *argv, "--bound", bound)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:")
 
     def test_divisor_of_two_primes_above_1000(self, capsys):
         code, out, _ = run(capsys, "relation", "query", "C(1022117)", "C(1009)")
@@ -357,6 +409,19 @@ class TestSunitAndGenus:
     def test_genus_bad_arg(self, capsys):
         code, _, err = run(capsys, "genus", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("primes", ["4,9", "2,4", "1", "0", "-3", "1000000000039"])
+    def test_non_prime_exits_two(self, capsys, primes):
+        code, out, err = run(capsys, "sunit", "smooth", "--primes", primes, "--height", "40")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_prime_list_accepts_primes(self, capsys):
+        code, out, _ = run(capsys, "sunit", "smooth", "--primes", "3,2,999999999989",
+                           "--height", "10")
+        assert code == 0
+        assert out.splitlines()[0] == "1 2 3 4 6 8 9"
 
     def test_usage_error_exits_two(self, capsys):
         code, _, _ = run(capsys, "sunit", "nonsense", "--primes", "2",

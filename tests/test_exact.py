@@ -261,6 +261,14 @@ class TestCyclotomic:
         for n, phi in phis.items():
             assert cyclotomic(n).degree == phi
 
+    def test_product_over_divisors_is_z_n_minus_one(self):
+        for n in range(1, 25):
+            prod = Poly(QQ, [1])
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    prod = prod * cyclotomic(d)
+            assert prod == Poly(QQ, [-1] + [0] * (n - 1) + [1]), n
+
 
 class TestNumberField:
     def test_fifth_roots_of_unity(self):
@@ -288,6 +296,35 @@ class TestNumberField:
     def test_reducible_minpoly_rejected(self):
         with pytest.raises(ValueError):
             NumberField(Poly(QQ, [-1, 0, 1]))
+
+    def test_degree_above_checking_bound_rejected(self):
+        # z^9 - 2 is irreducible, but no factoring check runs above degree 8
+        with pytest.raises(ValueError):
+            NumberField(Poly(QQ, [-2] + [0] * 8 + [1]))
+
+    def test_cyclotomic_fields_irreducible_by_reference(self):
+        # the theorem that cyclotomic_field relies on, checked against
+        # sympy's factoring at every n with phi(n) <= 8 (all have n <= 30)
+        import sympy
+
+        z = sympy.Symbol("z")
+        checked = 0
+        for n in range(1, 31):
+            K = NumberField.cyclotomic_field(n)
+            if K.degree > 8:
+                continue
+            coeffs = [int(c) for c in reversed(K.minpoly.coeffs)]
+            assert sympy.Poly(coeffs, z, domain="QQ").is_irreducible, n
+            checked += 1
+        assert checked == 18
+
+    def test_cyclotomic_field_above_degree_eight(self):
+        K = NumberField.cyclotomic_field(11)
+        assert K.degree == 10 and repr(K) == "Q(zeta_11)"
+        t = K.gen
+        assert t ** 11 == K.one and t ** 5 != K.one
+        x = t + K.coerce(3)
+        assert x * x.inverse() == K.one
 
 
 class TestSmoothness:
