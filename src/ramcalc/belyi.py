@@ -13,7 +13,7 @@ from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence
 
-from .exact import Poly, QQ, _int_vector, _primitive, factor_over_primes, SmoothnessFailure
+from .exact import Poly, QQ, _int_vector, _primitive, factor_over_primes, is_smooth
 
 
 class DegenerateSupport(ValueError):
@@ -145,11 +145,7 @@ def verify_belyi(t: BelyiTuple) -> BelyiVerification:
 
 def exponent_factorizations(t: BelyiTuple, primes: Iterable[int]):
     """Factor each |exponent| over a prime set; None entries on failure."""
-    out = []
-    for r in t.exponents:
-        f = factor_over_primes(r, primes)
-        out.append(None if isinstance(f, SmoothnessFailure) else f)
-    return out
+    return [factor_over_primes(r, primes) for r in t.exponents]
 
 
 def hyperplane_membership(points: Sequence[int]):
@@ -190,6 +186,6 @@ def search_smooth_tuples(k: int, primes: Iterable[int], box: int) -> list[BelyiT
     results = []
     for sup in _normalized_supports(k, box):
         exps = vandermonde_exponents(sup)
-        if all(not isinstance(factor_over_primes(r, primes), SmoothnessFailure) for r in exps):
+        if all(is_smooth(r, primes) for r in exps):
             results.append(BelyiTuple(sup, exps))
     return results

@@ -30,7 +30,7 @@ from .contract import (
     contract_to_rational,
 )
 from .cover import rh_genus, standard_projection_profile, verify_certificate
-from .exact import BACKEND, Poly, _from_sympy
+from .exact import BACKEND, Poly
 from .manifest import (
     CERT_HEADER,
     CHAIN_HEADER,
@@ -38,6 +38,7 @@ from .manifest import (
     bundled_text,
     parse_cert,
     parse_chain,
+    parse_poly,
     render_point,
 )
 from .relation import (
@@ -58,6 +59,9 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 MAX_LISTED_PRIME = 10 ** 12
+# a concrete level is factored when a search expands it: 18-digit levels
+# take about a second, and a product of two 21-digit primes takes 13 s
+MAX_CURVE_LEVEL = 10 ** 18
 
 
 class UsageError(ValueError):
@@ -317,19 +321,13 @@ def cmd_belyi_search(args) -> int:
 
 
 def _parse_poly_expr(s: str) -> Poly:
-    import sympy
-    from sympy.polys.polyerrors import BasePolynomialError
-
-    z = sympy.Symbol("z")
     try:
-        expr = sympy.sympify(s, locals={"z": z}, rational=True)
-        # domain QQ rejects irrational coefficients and other symbols
-        sp = sympy.Poly(expr, z, domain="QQ")
-    except (sympy.SympifyError, BasePolynomialError, TypeError) as exc:
+        p = parse_poly(s)
+    except ManifestError as exc:
         raise UsageError(f"cannot parse polynomial {s!r}: {exc}")
-    if sp.degree() < 1:
+    if p.degree < 1:
         raise UsageError(f"polynomial {s!r} is constant")
-    return _from_sympy(sp)
+    return p
 
 
 def cmd_contract(args) -> int:
@@ -390,6 +388,8 @@ def _parse_curve_node(s: str) -> CurveNode:
     s = s.strip()
     p = NodePattern.parse(s)
     if p.form == "const":
+        if p.coeff > MAX_CURVE_LEVEL:
+            raise UsageError(f"level of {s!r} is above {MAX_CURVE_LEVEL}")
         return CurveNode.curve(p.coeff)
     if p.form == "class":
         return CurveNode.named(p.name)

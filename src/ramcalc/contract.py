@@ -20,10 +20,9 @@ from typing import Iterable, Optional
 from .exact import (
     Poly,
     QQ,
-    _from_sympy,
     _image_poly,
     _is_squarefree_qq,
-    _to_sympy,
+    factor_qq,
     solve_linear_system,
     squarefree_part,
 )
@@ -103,21 +102,16 @@ class AlgebraicPointSet:
 
 
 def _irreducible_factors(p: Poly) -> list:
-    """Monic irreducible factors of a squarefree polynomial over Q.
-
-    Delegates to sympy: coefficient sizes here can be huge and its
-    factorization stays polynomial-time, unlike rational-root trial
-    division.
-    """
+    """Monic irreducible factors of the squarefree part of p over Q."""
     p = squarefree_part(p)
     if p.degree == 0:
         return []
     if p.degree == 1:
         return [p]
-    _, factors = _to_sympy(p).factor_list()
+    factors = factor_qq(p)
     if any(mult != 1 for _, mult in factors):
         raise ArithmeticError("squarefree part has a repeated factor")
-    return [_from_sympy(fac.monic()) for fac, _ in factors]
+    return [fac for fac, _ in factors]
 
 
 def split_degree(m: int):

@@ -22,10 +22,6 @@ class InconsistentProfile(ValueError):
     pass
 
 
-class BaseMismatch(ValueError):
-    pass
-
-
 class SingularCurve(ValueError):
     pass
 

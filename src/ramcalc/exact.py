@@ -652,30 +652,9 @@ def _divisors(n: int) -> list[int]:
 # smoothness
 
 
-class SmoothnessFailure:
-    """Witness that an integer is not smooth over a prime set."""
-
-    def __init__(self, witness):
-        self.witness = witness  # a prime, or the string "composite remainder"
-
-    def __repr__(self):
-        return f"SmoothnessFailure({self.witness!r})"
-
-    def __eq__(self, other):
-        return isinstance(other, SmoothnessFailure) and self.witness == other.witness
-
-
-TRIAL_LIMIT = 10 ** 6
-
-
 def factor_over_primes(n: int, primes: Iterable[int]):
-    """Exponent vector of |n| over the prime set, or a failure witness.
-
-    Returns a dict {p: e} with only nonzero exponents on success.  On
-    failure returns a SmoothnessFailure holding the smallest prime
-    factor of the non-smooth remainder found by trial division, or the
-    string "composite remainder" if none up to TRIAL_LIMIT.
-    """
+    """Exponent dict {p: e} of |n| over the prime set, nonzero exponents
+    only, or None when |n| has a prime factor outside the set."""
     if n == 0:
         raise ValueError("smoothness of zero is undefined")
     m = abs(n)
@@ -687,20 +666,11 @@ def factor_over_primes(n: int, primes: Iterable[int]):
             e += 1
         if e:
             out[p] = e
-    if m == 1:
-        return out
-    d = 2
-    while d <= TRIAL_LIMIT and d * d <= m:
-        if m % d == 0:
-            return SmoothnessFailure(d)
-        d += 1
-    if m <= TRIAL_LIMIT * TRIAL_LIMIT:
-        return SmoothnessFailure(m)  # m itself is prime
-    return SmoothnessFailure("composite remainder")
+    return out if m == 1 else None
 
 
 def is_smooth(n: int, primes: Iterable[int]) -> bool:
-    return not isinstance(factor_over_primes(n, primes), SmoothnessFailure)
+    return factor_over_primes(n, primes) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -917,7 +887,8 @@ class NumberFieldElement:
 
 
 # ---------------------------------------------------------------------------
-# the bridge to sympy, and irreducibility over Q (small degrees)
+# the only bridge to sympy: factoring over Q and Z, and irreducibility
+# over Q (small degrees)
 
 
 def _to_sympy(p: Poly):
@@ -928,9 +899,22 @@ def _to_sympy(p: Poly):
     return sympy.Poly(coeffs, sympy.Symbol("x"), domain="QQ")
 
 
-def _from_sympy(sp) -> Poly:
-    """A sympy Poly over ZZ or QQ back as a Poly over QQ."""
-    return Poly(QQ, [Fraction(int(c.p), int(c.q)) for c in reversed(sp.all_coeffs())])
+def factor_qq(p: Poly) -> list:
+    """(monic irreducible factor, multiplicity) pairs of p over Q, in
+    sympy's order; sympy's factorization stays polynomial-time at
+    coefficient sizes where rational-root trial division does not."""
+    _, factors = _to_sympy(p).factor_list()
+    return [
+        (Poly(QQ, [Fraction(int(c.p), int(c.q)) for c in reversed(f.monic().all_coeffs())]), m)
+        for f, m in factors
+    ]
+
+
+def factor_int(n: int) -> list:
+    """Sorted (prime, exponent) pairs of an integer n >= 2, by sympy."""
+    from sympy import factorint
+
+    return sorted(factorint(n).items())
 
 
 def is_irreducible(p: Poly) -> bool:

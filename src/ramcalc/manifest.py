@@ -32,7 +32,12 @@ class ManifestError(ValueError):
 # point expressions
 
 
-_TOKEN_RE = re.compile(r"\s*(\d+|[tT]|\^|\+|\-|\*|/|\(|\))")
+_TOKEN_RE = re.compile(r"\s*(\d+(?:\.\d*)?|\.\d+|[A-Za-z]\w*|\*\*|[-+*/^()])")
+
+# the largest exponent, and the largest degree of a polynomial built
+# while parsing: expressions are outside input, and z^100000 or
+# (z^64)^64 would otherwise be expanded before anything looks at them
+MAX_DEGREE = 64
 
 
 def _tokenize(s: str):
@@ -47,15 +52,24 @@ def _tokenize(s: str):
     return out
 
 
+def _degree(v) -> int:
+    return v.degree if isinstance(v, Poly) else 0
+
+
 class _ExprParser:
-    """Recursive-descent parser for field-element expressions.
+    """Recursive-descent parser for exact expressions; evaluates nothing
+    but field arithmetic.
 
     Grammar: expr = term (('+'|'-') term)*; term = factor (('*'|'/')
-    factor)*; factor = '-'* atom ('^' int)?; atom = int | t | (expr).
+    factor)*; factor = '-'* atom (('^'|'**') int)?; atom = number | name
+    | (expr), where a number is an integer or a decimal and each name
+    is a key of `gens`, the generators the caller allows.  Division is
+    by nonzero constants only.
     """
 
-    def __init__(self, field, tokens):
+    def __init__(self, field, gens: dict, tokens):
         self.field = field
+        self.gens = gens
         self.toks = tokens
         self.pos = 0
 
@@ -86,9 +100,15 @@ class _ExprParser:
         while self.peek() in ("*", "/"):
             op = self.take()
             w = self.factor()
-            if op == "/" and not w:
-                raise ManifestError("division by zero")
-            v = v * w if op == "*" else v / w
+            if op == "/":
+                if isinstance(w, Poly):
+                    raise ManifestError("division by a polynomial")
+                if not w:
+                    raise ManifestError("division by zero")
+                w = 1 / w
+            if _degree(v) + _degree(w) > MAX_DEGREE:
+                raise ManifestError(f"degree above {MAX_DEGREE}")
+            v = v * w
         return v
 
     def factor(self):
@@ -97,24 +117,25 @@ class _ExprParser:
             self.take()
             sign = -sign
         v = self.atom()
-        if self.peek() == "^":
+        if self.peek() in ("^", "**"):
             self.take()
             e = self.take()
             if e is None or not e.isdigit():
                 raise ManifestError("exponent must be a nonnegative integer")
-            v = v ** int(e)
+            e = int(e)
+            if e > MAX_DEGREE or _degree(v) * e > MAX_DEGREE:
+                raise ManifestError(f"exponent or degree above {MAX_DEGREE}")
+            v = v ** e
         return v if sign > 0 else -v
 
     def atom(self):
         tok = self.take()
         if tok is None:
             raise ManifestError("unexpected end of expression")
-        if tok.isdigit():
-            return self.field.coerce(int(tok))
-        if tok in ("t", "T"):
-            if isinstance(self.field, RationalField):
-                raise ManifestError("generator t used over the rationals")
-            return self.field.gen
+        if tok[0].isdigit() or tok[0] == ".":
+            return self.field.coerce(int(tok) if tok.isdigit() else Fraction(tok))
+        if tok in self.gens:
+            return self.gens[tok]
         if tok == "(":
             v = self.expr()
             if self.take() != ")":
@@ -124,11 +145,20 @@ class _ExprParser:
 
 
 def parse_point(field, s: str):
-    """Parse 'inf' or a field-element expression."""
+    """Parse 'inf' or a field-element expression in the generator t (or T)."""
     s = s.strip()
     if s == "inf":
         return INF
-    return _ExprParser(field, _tokenize(s)).parse()
+    gens = {} if isinstance(field, RationalField) else dict.fromkeys("tT", field.gen)
+    return _ExprParser(field, gens, _tokenize(s)).parse()
+
+
+def parse_poly(s: str) -> Poly:
+    """Parse a polynomial in z over Q.  Raises ManifestError on bad
+    syntax, division by a non-constant, and exponents or degrees above
+    MAX_DEGREE."""
+    v = _ExprParser(QQ, {"z": Poly(QQ, [0, 1])}, _tokenize(s.strip())).parse()
+    return v if isinstance(v, Poly) else Poly(QQ, [v])
 
 
 def render_point(p) -> str:

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional
 
+from .exact import factor_int
+
 STORE_HEADER = "ramcalc-rules 1"
 DEFAULT_BOUND = 64
 # intermediate curve levels may exceed both endpoints by the rule
@@ -189,7 +191,7 @@ def _proper_divisors(m: int):
 
     Curve levels in this graph are smooth by construction, so trial
     division by the primes below 1000 usually factors them completely;
-    a remainder that trial division cannot settle goes to sympy.
+    a remainder that trial division cannot settle goes to `factor_int`.
     """
     factors = []
     rest = m
@@ -204,9 +206,7 @@ def _proper_divisors(m: int):
             factors.append((p, e))
     else:
         # rest >= 999^2 has no prime factor below 1000 and may be composite
-        from sympy import factorint
-
-        factors += sorted(factorint(rest).items())
+        factors += factor_int(rest)
         rest = 1
     if rest > 1:
         factors.append((rest, 1))

@@ -17,10 +17,9 @@ from .exact import (
     QQ,
     _image_poly,
     _inverse_mod,
-    factor_over_primes,
+    is_smooth,
     poly_gcd,
     squarefree_part,
-    SmoothnessFailure,
 )
 
 
@@ -168,10 +167,11 @@ class RationalMap:
             g = RationalMap(num_r, den_r)
             return g.local_index(self.field.zero)
         x = self.field.coerce(x)
-        y = self.eval(x)
-        if is_inf(y):
+        q = self.den(x)
+        if not q:
             return self.den.vanishing_order(x)
-        return (self.num - self.den * y).vanishing_order(x)
+        # P Q(x) - Q P(x) is Q(x) (P - f(x) Q): the same order, no division
+        return (self.num * q - self.den * self.num(x)).vanishing_order(x)
 
     # -- ramification --------------------------------------------------
 
@@ -365,11 +365,7 @@ def verify_chain(manifest) -> ChainReport:
     if manifest.bound is not None:
         bound_ok = all(manifest.bound % i == 0 for i in composite)
     if manifest.bound_primes is not None:
-        primes_ok = all(
-            not isinstance(factor_over_primes(i, manifest.bound_primes), SmoothnessFailure)
-            for i in composite
-            if i > 1
-        )
+        primes_ok = all(is_smooth(i, manifest.bound_primes) for i in composite if i > 1)
         bound_ok = primes_ok if bound_ok is None else (bound_ok and primes_ok)
     final = [pt for pt, idxs in tracked.values()]
     return ChainReport(

@@ -36,6 +36,22 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def fresh_interpreter(script: str) -> str:
+    """Last stdout line of script, run after `from ramcalc import cli` in
+    a fresh interpreter, since other tests load sympy into this one."""
+    src = Path(ramcalc.__file__).resolve().parents[1]
+    prelude = """
+import sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from ramcalc import cli
+"""
+    proc = subprocess.run([sys.executable, "-c", prelude + script, str(src)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
 class TestVerify:
     def test_bundled_chain_passes(self, capsys, chain_file):
         code, out, _ = run(capsys, "verify", chain_file)
@@ -118,23 +134,14 @@ class TestVerify:
         assert "too few fields" in err
 
     def test_verify_never_imports_sympy(self):
-        # a fresh interpreter, since other tests load sympy into this one;
         # the verify reports go to stdout, the summary is its last line
         script = """
-import sys
-from pathlib import Path
-sys.path.insert(0, sys.argv[1])
-from ramcalc import cli
 data = Path(sys.argv[1]) / "ramcalc" / "data"
 paths = sorted(p for p in data.iterdir() if p.suffix in (".chain", ".cert"))
 codes = [cli.main(["verify", str(p)]) for p in paths]
 print(len(paths), codes.count(0), "sympy" in sys.modules)
 """
-        src = Path(ramcalc.__file__).resolve().parents[1]
-        proc = subprocess.run([sys.executable, "-c", script, str(src)],
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "10 10 False"
+        assert fresh_interpreter(script) == "10 10 False"
 
     def test_missing_file_exits_two(self, capsys):
         code, _, err = run(capsys, "verify", "/nonexistent/path.chain")
@@ -225,6 +232,26 @@ class TestContract:
             assert code == 2, bad
             assert "error:" in err
 
+    def test_import_probe_exits_two_and_runs_nothing(self, capsys, tmp_path):
+        marker = tmp_path / "x"
+        code, out, err = run(capsys, "contract",
+                             f"__import__('pathlib').Path({str(marker)!r}).touch() or z^2-2")
+        assert code == 2
+        assert out == "" and err.startswith("error: cannot parse polynomial")
+        assert not marker.exists()
+
+    @pytest.mark.parametrize("poly", ["z^100000-2", "z^65-2", "(z^8)^9", "z^40*z^25-1",
+                                      "(z+1)^64*z-3"])
+    def test_exponent_or_degree_above_64_exits_two(self, capsys, poly):
+        code, out, err = run(capsys, "contract", poly)
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "above 64" in err
+
+    def test_linear_never_imports_sympy(self):
+        assert fresh_interpreter(
+            'print(cli.main(["contract", "z-5"]), "sympy" in sys.modules)'
+        ) == "0 False"
+
     def test_huge_final_points_print(self, capsys):
         # the final points of Phi5 run past Python's default limit of
         # 4300 digits for printing an integer
@@ -299,6 +326,17 @@ class TestRelation:
             assert code == 2
             assert out == ""
             assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [["query", "C(5)"], ["trace", "C(5)"], ["classes", "C(6)"]])
+    def test_level_above_10_18_exits_two(self, capsys, argv):
+        level = "C(30000000000000000017000000000000000002067)"
+        code, out, err = run(capsys, "relation", argv[0], level, *argv[1:], "--bound", "2")
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "above" in err
+
+    def test_level_at_10_18_runs(self, capsys):
+        code, _, err = run(capsys, "relation", "query", f"C({10 ** 18})", "C(5)", "--bound", "2")
+        assert code in (0, 1) and err == ""
 
     def test_divisor_of_two_primes_above_1000(self, capsys):
         code, out, _ = run(capsys, "relation", "query", "C(1022117)", "C(1009)")

@@ -1,21 +1,24 @@
 """Exact rationals, polynomials, resultants, and cyclotomic fields."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ramcalc
 from ramcalc.exact import (
     _CERT_PRIMES,
     QQ,
     NumberField,
     Poly,
-    SmoothnessFailure,
     _inverse_mod,
     _poly_gcd_degree_mod,
     cyclotomic,
     factor_over_primes,
+    factor_qq,
     is_irreducible,
     is_smooth,
     poly_gcd,
@@ -333,8 +336,7 @@ class TestSmoothness:
         assert factor_over_primes(1, (2, 3)) == {}
 
     def test_factor_failure_witness(self):
-        f = factor_over_primes(14, (2, 3))
-        assert isinstance(f, SmoothnessFailure)
+        assert factor_over_primes(14, (2, 3)) is None
 
     def test_is_smooth(self):
         assert is_smooth(2 ** 15 * 3 ** 10 * 5 ** 4 * 13, (2, 3, 5, 13))
@@ -366,3 +368,27 @@ class TestLinearAlgebraAndRoots:
         assert is_irreducible(Poly(QQ, [1, 0, 1]))
         assert is_irreducible(Poly(QQ, [-2, 0, 0, 1]))
         assert not is_irreducible(Poly(QQ, [-1, 0, 1]))
+
+
+class TestSympyBridge:
+    def test_only_exact_imports_sympy(self):
+        src = Path(ramcalc.__file__).parent
+        importers = set()
+        for path in src.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(n == "sympy" or n.startswith("sympy.") for n in names):
+                    importers.add(path.name)
+        assert importers == {"exact.py"}
+
+    def test_factor_qq_monic_with_multiplicities(self):
+        z = Poly(QQ, [0, 1])
+        p = (z * 2 - 2) * (z + 2) ** 2 * (z ** 2 - 3)
+        assert sorted(factor_qq(p), key=lambda f: f[0].coeffs) == [
+            (Poly(QQ, [-3, 0, 1]), 1), (Poly(QQ, [-1, 1]), 1), (Poly(QQ, [2, 1]), 2),
+        ]

@@ -1,10 +1,15 @@
 """Versioned text formats and the bundled artifacts."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramcalc.cover import verify_certificate
-from ramcalc.exact import NumberField, QQ
+from ramcalc.exact import NumberField, Poly, QQ
 from ramcalc.manifest import (
+    MAX_DEGREE,
     ManifestError,
     bundled_text,
     load_bundled_cert,
@@ -12,6 +17,7 @@ from ramcalc.manifest import (
     parse_cert,
     parse_chain,
     parse_point,
+    parse_poly,
     render_cert,
     render_chain,
     render_point,
@@ -55,6 +61,72 @@ class TestPointExpressions:
             parse_point(QQ, "3 +")
         with pytest.raises(ManifestError):
             parse_point(QQ, "")
+
+
+def _space(draw):
+    return draw(st.sampled_from(["", " "]))
+
+
+@st.composite
+def _constants(draw, nonzero=False):
+    a = draw(st.integers(1 if nonzero else 0, 40))
+    if draw(st.booleans()):
+        return str(a)
+    return f"{a}.{draw(st.integers(0, 99))}"
+
+
+@st.composite
+def _poly_exprs(draw, depth=3):
+    """(text, bound on the degree of every subexpression)."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        return ("z", 1) if draw(st.booleans()) else (draw(_constants()), 0)
+    kind = draw(st.sampled_from(["+", "-", "*", "/", "^", "**", "neg", "()"]))
+    a, da = draw(_poly_exprs(depth - 1))
+    sp = _space(draw)
+    if kind in ("+", "-", "*"):
+        b, db = draw(_poly_exprs(depth - 1))
+        return f"({a}){sp}{kind}{sp}({b})", (da + db if kind == "*" else max(da, db))
+    if kind == "/":
+        return f"({a}){sp}/{sp}{draw(_constants(nonzero=True))}", da
+    if kind in ("^", "**"):
+        k = draw(st.integers(0, 3))
+        return f"({a}){sp}{kind}{sp}{k}", da * k
+    if kind == "neg":
+        return f"-{sp}({a})", da
+    return f"({sp}{a}{sp})", da
+
+
+class TestPolyExpressions:
+    @given(_poly_exprs().filter(lambda e: e[1] <= MAX_DEGREE))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sympy(self, expr):
+        # sympy, which evaluates its input as Python, is the reference
+        import sympy
+
+        text, _ = expr
+        z = sympy.Symbol("z")
+        ref = sympy.Poly(sympy.sympify(text, locals={"z": z}, rational=True), z, domain="QQ")
+        coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(ref.all_coeffs())]
+        assert parse_poly(text) == Poly(QQ, coeffs)
+
+    @pytest.mark.parametrize("text, coeffs", [
+        ("z**3-2", [-2, 0, 0, 1]),
+        ("0.5*z^2-1", [-1, 0, Fraction(1, 2)]),
+        ("2*z^3-4", [-4, 0, 0, 2]),
+        ("(z-1)*(z+2)^2", [-4, 0, 3, 1]),
+        (" z/4 + 1/3 ", [Fraction(1, 3), Fraction(1, 4)]),
+        ("z^64", [0] * 64 + [1]),
+    ])
+    def test_examples(self, text, coeffs):
+        assert parse_poly(text) == Poly(QQ, coeffs)
+
+    @pytest.mark.parametrize("text", [
+        "1/(z-1)", "z/0", "x^2-2", "2z", "z^-1", "z^2.5", "z^65", "(z^8)^9",
+        "z^40*z^25", "__import__('os').getcwd() or z",
+    ])
+    def test_rejected(self, text):
+        with pytest.raises(ManifestError):
+            parse_poly(text)
 
 
 class TestBundledChains:
