@@ -21,9 +21,7 @@ class DegenerateSupport(ValueError):
 
 
 class NotBelyiForm(ValueError):
-    def __init__(self, message, offending=None):
-        super().__init__(message)
-        self.offending = offending
+    pass
 
 
 @dataclass(frozen=True)
@@ -123,10 +121,7 @@ def verify_belyi(t: BelyiTuple) -> BelyiVerification:
         raise NotBelyiForm(f"exponents sum to {sum(t.exponents)}, not zero")
     n = dlog_numerator(t)
     if n.degree > 0:
-        raise NotBelyiForm(
-            f"dlog numerator is not constant (degree {n.degree})",
-            offending=n.coeffs[-1],
-        )
+        raise NotBelyiForm(f"dlog numerator is not constant (degree {n.degree})")
     if n.is_zero():
         raise NotBelyiForm("dlog numerator vanishes identically")
     pos = [(p, r) for p, r in zip(t.support, t.exponents) if r > 0]

@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from math import isqrt
 
 from . import __version__
 from .belyi import (
@@ -30,7 +29,7 @@ from .contract import (
     contract_to_rational,
 )
 from .cover import rh_genus, standard_projection_profile, verify_certificate
-from .exact import BACKEND, Poly
+from .exact import BACKEND, Poly, check_prime
 from .manifest import (
     CERT_HEADER,
     CHAIN_HEADER,
@@ -46,10 +45,9 @@ from .relation import (
     EdgeRule,
     NodePattern,
     RuleStore,
-    StoreFormatError,
     UnverifiedProvenance,
 )
-from .rmap import verify_chain
+from .rmap import ChainReport, verify_chain
 from .sunit import prop24_pairs, smooth_enum, thm26_family, unit_equation_solutions
 
 BELYI_HEADER = "ramcalc-belyi 1"
@@ -58,10 +56,12 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-MAX_LISTED_PRIME = 10 ** 12
 # a concrete level is factored when a search expands it: 18-digit levels
 # take about a second, and a product of two 21-digit primes takes 13 s
 MAX_CURVE_LEVEL = 10 ** 18
+# the genus profile lists one fiber per root of unity: 10^5 takes about
+# a second, and 10^8 runs out of memory
+MAX_GENUS_INDEX = 10 ** 5
 
 
 class UsageError(ValueError):
@@ -89,13 +89,8 @@ def _parse_primes(s: str) -> tuple:
         primes = tuple(sorted({int(p) for p in s.split(",") if p.strip()}))
     except ValueError:
         raise UsageError(f"bad prime list {s!r}")
-    # trial division: prime lists are short and their entries small;
-    # the size limit keeps it under a second
     for p in primes:
-        if p > MAX_LISTED_PRIME:
-            raise UsageError(f"{p} in the prime list is above {MAX_LISTED_PRIME}")
-        if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
-            raise UsageError(f"{p} in the prime list is not a prime")
+        check_prime(p)
     return primes
 
 
@@ -190,23 +185,26 @@ def _cert_report_lines(report) -> list:
     return lines
 
 
-def cmd_verify(args) -> int:
-    text = _read_text(args.path)
-    header = text.splitlines()[0].strip() if text.strip() else ""
+def _verify_text(text: str, param=None):
+    """Report of the chain or certificate in text, told apart by its
+    first non-blank line; param overrides a certificate's instances."""
+    header = next((ln.strip() for ln in text.splitlines() if ln.strip()), "")
     if header == CHAIN_HEADER:
-        manifest = parse_chain(text)
-        report = verify_chain(manifest)
-        _emit(_chain_report_payload(report), _chain_report_lines(report), args.json)
-        return EXIT_PASS if report.passed else EXIT_FAIL
+        return verify_chain(parse_chain(text))
     if header == CERT_HEADER:
         manifest = parse_cert(text)
-        instances = manifest.instances
-        if args.param:
-            instances = _parse_param_instances(args.param)
-        report = verify_certificate(manifest.certificate, instances)
-        _emit(_cert_report_payload(report), _cert_report_lines(report), args.json)
-        return EXIT_PASS if report.passed else EXIT_FAIL
+        instances = _parse_param_instances(param) if param else manifest.instances
+        return verify_certificate(manifest.certificate, instances)
     raise ManifestError(f"unrecognized manifest header {header!r}")
+
+
+def cmd_verify(args) -> int:
+    report = _verify_text(_read_text(args.path), args.param)
+    if isinstance(report, ChainReport):
+        _emit(_chain_report_payload(report), _chain_report_lines(report), args.json)
+    else:
+        _emit(_cert_report_payload(report), _cert_report_lines(report), args.json)
+    return EXIT_PASS if report.passed else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +334,7 @@ def cmd_contract(args) -> int:
     try:
         result = contract_to_rational(S, height_cap=args.height_cap)
     except (StrategyExhausted, HeightCapExceeded) as exc:
-        if isinstance(exc, StrategyExhausted):
-            message = f"strategy exhausted after {exc.attempts} steps"
-        else:
-            message = str(exc)
-        _emit({"passed": False, "error": message}, [message], args.json)
+        _emit({"passed": False, "error": str(exc)}, [str(exc)], args.json)
         return EXIT_FAIL
     payload = {
         "passed": True,
@@ -414,6 +408,8 @@ def _trace_payload(trace) -> dict:
 
 
 def cmd_relation_query(args) -> int:
+    """`relation query`, and `relation trace`, which re-validates the
+    same derivation and prints it step by step."""
     store = _load_store(args)
     src = _parse_curve_node(args.source)
     tgt = _parse_curve_node(args.target)
@@ -425,24 +421,9 @@ def cmd_relation_query(args) -> int:
             args.json,
         )
         return EXIT_FAIL
-    payload = {"reachable": True, "trace": _trace_payload(trace)}
-    _emit(payload, [str(trace)], args.json)
-    return EXIT_PASS
-
-
-def cmd_relation_trace(args) -> int:
-    # identical search, but the trace is re-validated and printed stepwise
-    store = _load_store(args)
-    src = _parse_curve_node(args.source)
-    tgt = _parse_curve_node(args.target)
-    trace = store.reachable(src, tgt, bound=args.bound)
-    if trace is None:
-        _emit(
-            {"reachable": False, "bound": args.bound},
-            [f"unreachable within {args.bound} steps"],
-            args.json,
-        )
-        return EXIT_FAIL
+    if args.subcommand == "query":
+        _emit({"reachable": True, "trace": _trace_payload(trace)}, [str(trace)], args.json)
+        return EXIT_PASS
     if not trace.validate():
         _emit(
             {"reachable": True, "validated": False},
@@ -486,13 +467,10 @@ def _bundled_artifact_checker(name: str) -> bool:
         text = bundled_text(name)
     except (FileNotFoundError, ModuleNotFoundError):
         return False
-    header = text.splitlines()[0].strip()
-    if header == CERT_HEADER:
-        m = parse_cert(text)
-        return verify_certificate(m.certificate, m.instances).passed
-    if header == CHAIN_HEADER:
-        return verify_chain(parse_chain(text)).passed
-    return False
+    try:
+        return _verify_text(text).passed
+    except ManifestError:
+        return False
 
 
 def cmd_relation_add(args) -> int:
@@ -556,6 +534,8 @@ def cmd_sunit(args) -> int:
 def cmd_genus(args) -> int:
     if args.n < 3:
         raise UsageError("curve index must be >= 3")
+    if args.n > MAX_GENUS_INDEX:
+        raise UsageError(f"curve index must be <= {MAX_GENUS_INDEX}")
     g = rh_genus(standard_projection_profile(args.n))
     _emit({"n": args.n, "genus": g}, [str(g)], args.json)
     return EXIT_PASS
@@ -632,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("source")
     r.add_argument("target")
     rel_common(r)
-    r.set_defaults(func=cmd_relation_trace)
+    r.set_defaults(func=cmd_relation_query)
     r = rsub.add_parser("classes", help="mutual-reachability classes of the given nodes")
     r.add_argument("nodes", nargs="+")
     rel_common(r)
@@ -680,7 +660,7 @@ def main(argv=None) -> int:
     except UnverifiedProvenance as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (UsageError, ManifestError, StoreFormatError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

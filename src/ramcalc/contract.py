@@ -44,9 +44,7 @@ class SingularSystem(ValueError):
 
 
 class StrategyExhausted(RuntimeError):
-    def __init__(self, attempts):
-        self.attempts = attempts
-        super().__init__(f"no admissible target tuple found in {attempts} attempts")
+    pass
 
 
 class HeightCapExceeded(RuntimeError):
@@ -291,7 +289,7 @@ def reduction_step(S: AlgebraicPointSet, height_cap: Optional[int] = None):
                 break
             window.pop(0)
         if step is None:
-            raise StrategyExhausted(attempts)
+            raise StrategyExhausted(f"no admissible target tuple found in {attempts} attempts")
 
     F = step.product
 
@@ -335,7 +333,7 @@ def contract_to_rational(
     current = S
     while not current.all_rational():
         if len(steps) >= MAX_STEPS:
-            raise StrategyExhausted(len(steps))
+            raise StrategyExhausted(f"points still not rational after {MAX_STEPS} steps")
         step, current = reduction_step(current, height_cap)
         steps.append(step)
         cert.append((2, step.product.degree))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numbers
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable, Sequence, Union
 
 try:  # GMP-backed rationals: identical semantics, far faster gcd
@@ -490,10 +491,16 @@ def _inverse_mod(a: Poly, m: Poly) -> Poly:
     return s0 * Poly(field, [field.one / r0.coeffs[0]])
 
 
-def _bareiss_det(m):
-    """Exact integer determinant by fraction-free Gaussian elimination."""
+def _bareiss(m) -> int:
+    """Fraction-free Gaussian elimination of an integer matrix, in place,
+    over its first len(m) columns; later columns (a right-hand side) are
+    carried along.  Every division is exact, since each entry becomes a
+    minor of the input.  Returns the sign of the row swaps, or 0 when
+    that square part is singular.  Afterwards row k from column k on is
+    row k of an equivalent upper-triangular system, and sign * m[-1][n-1]
+    is the determinant of the square part.
+    """
     n = len(m)
-    m = [row[:] for row in m]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -503,11 +510,14 @@ def _bareiss_det(m):
                 return 0
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+        top = m[k]
+        pivot = top[k]
+        for row in m[k + 1:]:
+            a = row[k]
+            for j in range(k + 1, len(row)):
+                row[j] = (row[j] * pivot - a * top[j]) // prev
+        prev = pivot
+    return sign if not n or m[-1][n - 1] else 0
 
 
 def _resultant_qq(a: Poly, b: Poly):
@@ -520,8 +530,8 @@ def _resultant_qq(a: Poly, b: Poly):
         rows.append([0] * i + list(reversed(ai)) + [0] * (nb - 1 - i))
     for i in range(na):
         rows.append([0] * i + list(reversed(bi)) + [0] * (na - 1 - i))
-    det = _bareiss_det(rows)
-    return RAT(det, da ** nb * db ** na)
+    sign = _bareiss(rows)
+    return RAT(sign * rows[-1][-1], da ** nb * db ** na)
 
 
 def resultant(a: Poly, b: Poly):
@@ -555,10 +565,14 @@ def resultant(a: Poly, b: Poly):
 def _image_poly(F: Poly, s: Poly) -> Poly:
     """Squarefree monic polynomial vanishing exactly on F(roots of s).
 
-    Works over any field of characteristic 0 (Q or a number field).
-    Computed as the characteristic polynomial of multiplication by
-    F mod s on K[z]/(s): its eigenvalues are exactly F(alpha) over the
-    roots alpha of s.  This avoids resultants of huge polynomials.  For
+    Works over any field of characteristic 0 (Q or a number field) and
+    locates no root.  For s squarefree of degree k, prod (y - F(alpha))
+    over the roots alpha of s is the characteristic polynomial of
+    multiplication by F on K[z]/(s); no matrix is built for it.  Newton's
+    identities give the power sums Tr(z^i) of the roots from the
+    coefficients of s; the traces p_j = Tr(F^j mod s) are linear in
+    those; and Newton's identities, dividing by 1..k, turn p_1..p_k into
+    the coefficients.  This avoids resultants of huge polynomials.  For
     an irreducible s the characteristic polynomial is a power of the
     minimal polynomial of F(alpha), so the result is irreducible.
     """
@@ -567,35 +581,27 @@ def _image_poly(F: Poly, s: Poly) -> Poly:
     k = s.degree
     if k == 0:
         raise ValueError("image of an empty point set")
+    a = s.coeffs
+    # Tr(z^i) + a_{k-1} Tr(z^(i-1)) + ... + a_{k-i+1} Tr(z) + i a_{k-i} = 0
+    traces = [field.coerce(k)]
+    for i in range(1, k):
+        acc = a[k - i] * i
+        for j in range(1, i):
+            acc = acc + a[k - j] * traces[i - j]
+        traces.append(-acc)
     rbar = F % s
-    # multiplication matrix: column j holds rbar * z^j mod s
-    cols = []
-    cur = rbar
-    for j in range(k):
-        coeffs = list(cur.coeffs) + [field.zero] * (k - len(cur.coeffs))
-        cols.append(coeffs)
-        if j < k - 1:
-            cur = (cur * Poly(field, [0, 1])) % s
-    matrix = [[cols[j][i] for j in range(k)] for i in range(k)]
-    return squarefree_part(_charpoly(field, matrix))
-
-
-def _charpoly(field, matrix: list) -> Poly:
-    """Monic characteristic polynomial over field by the Faddeev-LeVerrier
-    recursion (divides by 1..n, so characteristic 0)."""
-    n = len(matrix)
-    ident = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
-    coeffs = [field.one]  # of y^n down to y^0
-    M = ident
-    for m in range(1, n + 1):
-        # M <- A (M + c_{m-1} I), c_m = -tr(M)/m
-        AM = [[sum(matrix[i][t] * M[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-        trace = sum(AM[i][i] for i in range(n))
-        c = -trace / m
-        coeffs.append(c)
-        if m < n:
-            M = [[AM[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
-    return Poly(field, list(reversed(coeffs)))
+    power = Poly(field, [1])
+    p = [None]
+    coeffs = [field.one]  # of y^k down to y^0
+    for m in range(1, k + 1):
+        power = power * rbar % s
+        p.append(sum((c * t for c, t in zip(power.coeffs, traces)), field.zero))
+        # p_m + c_1 p_(m-1) + ... + c_(m-1) p_1 + m c_m = 0
+        acc = p[m]
+        for j in range(1, m):
+            acc = acc + coeffs[j] * p[m - j]
+        coeffs.append(acc * RAT(-1, m))
+    return squarefree_part(Poly(field, coeffs[::-1]))
 
 
 def cyclotomic(n: int) -> Poly:
@@ -657,9 +663,12 @@ def factor_over_primes(n: int, primes: Iterable[int]):
     only, or None when |n| has a prime factor outside the set."""
     if n == 0:
         raise ValueError("smoothness of zero is undefined")
+    ps = sorted(set(primes))
+    if ps and ps[0] < 2:
+        raise ValueError(f"prime set entry {ps[0]} is below 2")
     m = abs(n)
     out = {}
-    for p in sorted(set(primes)):
+    for p in ps:
         e = 0
         while m % p == 0:
             m //= p
@@ -671,6 +680,18 @@ def factor_over_primes(n: int, primes: Iterable[int]):
 
 def is_smooth(n: int, primes: Iterable[int]) -> bool:
     return factor_over_primes(n, primes) is not None
+
+
+# listed primes are checked by trial division, under a second up to here
+MAX_LISTED_PRIME = 10 ** 12
+
+
+def check_prime(p: int) -> None:
+    """ValueError unless p is a prime no larger than MAX_LISTED_PRIME."""
+    if p > MAX_LISTED_PRIME:
+        raise ValueError(f"{p} in the prime list is above {MAX_LISTED_PRIME}")
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise ValueError(f"{p} in the prime list is not a prime")
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +728,7 @@ class NumberField:
         self._minpoly_ints = minpoly.int_form()[0]
         self.name = name
         self.degree = minpoly.degree
-        self._cyclotomic_index = None
+        self.cyclotomic_index = None
 
     @staticmethod
     def cyclotomic_field(n: int) -> "NumberField":
@@ -716,12 +737,8 @@ class NumberField:
         Phi_n."""
         fld = NumberField.__new__(NumberField)
         fld._setup(cyclotomic(n), "t")
-        fld._cyclotomic_index = n
+        fld.cyclotomic_index = n
         return fld
-
-    @property
-    def cyclotomic_index(self):
-        return self._cyclotomic_index
 
     def coerce(self, v) -> "NumberFieldElement":
         if isinstance(v, NumberFieldElement):
@@ -759,8 +776,8 @@ class NumberField:
         return hash(("ramcalc.NumberField", self.minpoly.coeffs))
 
     def __repr__(self):
-        if self._cyclotomic_index:
-            return f"Q(zeta_{self._cyclotomic_index})"
+        if self.cyclotomic_index:
+            return f"Q(zeta_{self.cyclotomic_index})"
         return f"Q[{self.name}]/({self.minpoly!r})"
 
 
@@ -937,23 +954,20 @@ def is_irreducible(p: Poly) -> bool:
 
 
 def solve_linear_system(matrix: list[list[Fraction]], rhs: list[Fraction]):
-    """Solve M x = b over Q by Gaussian elimination.
+    """Solve M x = b over Q: each row is scaled to integers, `_bareiss`
+    triangularises the augmented matrix, and back-substitution runs in
+    rationals.
 
     Returns the solution vector, or None if the square system is singular.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("square system expected")
-    aug = [[QQ.coerce(v) for v in row] + [QQ.coerce(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
+    aug = [_int_vector([QQ.coerce(v) for v in row] + [QQ.coerce(b)])[0] for row, b in zip(matrix, rhs)]
+    if not _bareiss(aug):
+        return None
+    x = [RAT(0)] * n
+    for i in range(n - 1, -1, -1):
+        row = aug[i]
+        x[i] = (row[n] - sum(row[j] * x[j] for j in range(i + 1, n))) / RAT(row[i])
+    return x

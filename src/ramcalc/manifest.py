@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional
 
-from .exact import NumberField, NumberFieldElement, Poly, QQ, RationalField
+from .exact import NumberField, NumberFieldElement, Poly, QQ, RationalField, check_prime
 from .rmap import INF, RationalMap, is_inf
 from .cover import Arrow, DiagramCertificate, Fiber, ParamIndex
 
@@ -204,7 +204,10 @@ def _parse_field_spec(spec: str):
     if parts == ["rational"]:
         return QQ
     if len(parts) == 2 and parts[0] == "cyclotomic":
-        return NumberField.cyclotomic_field(int(parts[1]))
+        n = int(parts[1])
+        if n > MAX_DEGREE:
+            raise ManifestError(f"cyclotomic index above {MAX_DEGREE}")
+        return NumberField.cyclotomic_field(n)
     raise ManifestError(f"bad field spec {spec!r}")
 
 
@@ -296,8 +299,12 @@ def parse_chain(text: str) -> ChainManifest:
             field = _parse_field_spec(rest)
         elif key == "bound":
             bound = int(rest)
+            if bound < 1:
+                raise ManifestError(f"bound must be at least 1: {bound}")
         elif key == "bound-primes":
             bound_primes = tuple(int(p) for p in rest.split())
+            for p in bound_primes:
+                check_prime(p)
         elif key == "start":
             if field is None:
                 raise ManifestError("field must precede start")

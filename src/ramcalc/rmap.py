@@ -259,7 +259,8 @@ def image_set(f: RationalMap, s: PointSet) -> PointSet:
     Points of s that are poles of f go to infinity.  On the rest, f
     agrees mod s with the polynomial F = P * Q^-1 mod s, so the finite
     image polynomial is the characteristic polynomial of multiplication
-    by F mod s, made squarefree (`exact._image_poly`).  The point at
+    by F mod s, taken from power sums and made squarefree
+    (`exact._image_poly`).  The point at
     infinity goes to f(inf).
     """
     field = f.field

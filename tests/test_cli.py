@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import ramcalc
+from ramcalc import contract
 from ramcalc.cli import main
 from ramcalc.manifest import bundled_text
 
@@ -74,6 +75,31 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(p))
         assert code == 1
         assert "claimed 31" in out and "actual 32" in out
+
+    def test_leading_blank_lines_before_header(self, capsys, tmp_path):
+        p = tmp_path / "blank.cert"
+        p.write_text("\n  \n" + bundled_text("prop7a.cert"))
+        code, out, _ = run(capsys, "verify", str(p))
+        assert code == 0
+        assert "result: PASS" in out
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("field rational\nbound-primes 1", "1 in the prime list is not a prime"),
+            ("field rational\nbound-primes 0", "0 in the prime list is not a prime"),
+            ("field rational\nbound-primes -2", "-2 in the prime list is not a prime"),
+            ("field rational\nbound-primes 2 4", "4 in the prime list is not a prime"),
+            ("field rational\nbound 0", "bound must be at least 1: 0"),
+            ("field cyclotomic 65", "cyclotomic index above 64"),
+        ],
+    )
+    def test_chain_bounds_exit_two(self, capsys, tmp_path, lines, message):
+        p = tmp_path / "caps.chain"
+        p.write_text(f"ramcalc-chain 1\nname caps\n{lines}\nstart 0:2\n")
+        code, out, err = run(capsys, "verify", str(p))
+        assert code == 2
+        assert out == "" and err == f"error: {message}\n"
 
     def test_malformed_file_exits_two(self, capsys, tmp_path):
         p = tmp_path / "junk.chain"
@@ -270,6 +296,13 @@ class TestContract:
         assert payload["passed"] is False
         assert re.fullmatch(r"coefficient size \d+ bits exceeds cap 8", payload["error"])
 
+    def test_step_limit_message(self, capsys, monkeypatch):
+        # z^3-2 needs three steps
+        monkeypatch.setattr(contract, "MAX_STEPS", 2)
+        code, out, _ = run(capsys, "contract", "z^3-2")
+        assert code == 1
+        assert out == "points still not rational after 2 steps\n"
+
     def test_height_cap_holds_on_images(self, capsys):
         # F of the stopping step fits under 2^16; an image it builds does
         # not, and the run stops there instead of at the next F (374638 bits)
@@ -412,6 +445,16 @@ class TestRelation:
                            "--kind", "verified", "--provenance", "missing.cert")
         assert code == 1
 
+    @pytest.mark.parametrize("provenance, code", [("prop7a.cert", 0), ("rules.store", 1)])
+    def test_add_verified_checks_bundled_artifact(self, capsys, tmp_path, provenance, code):
+        store = tmp_path / "my.store"
+        store.write_text(bundled_text("rules.store"))
+        got, _, err = run(capsys, "relation", "add", "--store", str(store),
+                          "--id", "checked", "--source", "C(3n)", "--target", "C(9n)",
+                          "--kind", "verified", "--provenance", provenance)
+        assert got == code
+        assert ("rule checked" in store.read_text()) == (code == 0)
+
     def test_add_axiom(self, capsys, tmp_path):
         store = tmp_path / "my.store"
         store.write_text(bundled_text("rules.store"))
@@ -447,6 +490,11 @@ class TestSunitAndGenus:
     def test_genus_bad_arg(self, capsys):
         code, _, err = run(capsys, "genus", "2")
         assert code == 2
+
+    def test_genus_index_cap_exits_two(self, capsys):
+        code, out, err = run(capsys, "genus", "100001")
+        assert code == 2
+        assert out == "" and err == "error: curve index must be <= 100000\n"
 
     @pytest.mark.parametrize("primes", ["4,9", "2,4", "1", "0", "-3", "1000000000039"])
     def test_non_prime_exits_two(self, capsys, primes):

@@ -2,6 +2,7 @@
 
 import ast
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from ramcalc.exact import (
     QQ,
     NumberField,
     Poly,
+    _image_poly,
     _inverse_mod,
     _poly_gcd_degree_mod,
     cyclotomic,
@@ -330,6 +332,96 @@ class TestNumberField:
         assert x * x.inverse() == K.one
 
 
+class TestImageKernel:
+    """`_image_poly` against routes that share none of its Newton code."""
+
+    @given(
+        st.lists(small_rationals, min_size=1, max_size=4),
+        st.lists(small_rationals, min_size=1, max_size=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_resultants_at_integer_points(self, s_low, f_coeffs):
+        # Res(s, y0 - F) = prod (y0 - F(alpha)) for monic s: deg + 1
+        # values fix that monic polynomial, whose squarefree part is
+        # the image (itself when the images are distinct)
+        s = squarefree_part(Poly(QQ, s_low + [1]))
+        F = Poly(QQ, f_coeffs)
+        k = s.degree
+        if k == 0:
+            return
+        ys = range(k + 1)
+        # y0 - F = 0 (a constant F) vanishes at every root
+        values = [resultant(s, Poly(QQ, [y]) - F) if Poly(QQ, [y]) != F else 0 for y in ys]
+        chi = Poly(QQ, [])
+        for yi, vi in zip(ys, values):
+            basis, den = Poly(QQ, [vi]), Fraction(1)
+            for yj in ys:
+                if yj != yi:
+                    basis, den = basis * Poly(QQ, [-yj, 1]), den * (yi - yj)
+            chi = chi + basis * (1 / den)
+        assert chi.degree == k and chi.lc == 1
+        assert _image_poly(F, s) == squarefree_part(chi)
+
+    @pytest.mark.parametrize("K", [FIELDS[0], FIELDS[2]], ids=["zeta5", "cbrt2"])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_split_source_over_number_fields(self, K, data):
+        roots = data.draw(st.lists(field_elements(K), min_size=1, max_size=4, unique=True))
+        F = Poly(K, data.draw(st.lists(field_elements(K), min_size=1, max_size=4)))
+        images = list(dict.fromkeys(F(x) for x in roots))
+        assert _image_poly(F, Poly.from_roots(K, roots)) == Poly.from_roots(K, images)
+
+
+def _det(m):
+    """Leibniz determinant: independent of any elimination."""
+    total = Fraction(0)
+    for perm in permutations(range(len(m))):
+        term = Fraction(1)
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+        total += -term if inversions % 2 else term
+    return total
+
+
+@st.composite
+def rational_systems(draw, max_n=6):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    row = st.lists(small_rationals, min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=n, max_size=n)), draw(row)
+
+
+class TestLinearSolve:
+    @given(rational_systems())
+    @settings(max_examples=80, deadline=None)
+    def test_solution_satisfies_system(self, system):
+        m, b = system
+        sol = solve_linear_system(m, b)
+        assert (sol is None) == (_det(m) == 0)
+        if sol is not None:
+            assert [sum(a * x for a, x in zip(row, sol)) for row in m] == b
+
+    @given(rational_systems(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_repeated_row_is_singular(self, system, data):
+        m, b = system
+        if len(m) < 2:
+            return
+        i, j = data.draw(st.lists(st.integers(0, len(m) - 1), min_size=2, max_size=2, unique=True))
+        m[j] = list(m[i])
+        assert solve_linear_system(m, b) is None
+
+    @given(rational_systems())
+    @settings(max_examples=60, deadline=None)
+    def test_zero_leading_entry_is_solved(self, system):
+        m, b = system
+        m[0][0] = Fraction(0)
+        if _det(m) == 0:
+            return
+        sol = solve_linear_system(m, b)
+        assert [sum(a * x for a, x in zip(row, sol)) for row in m] == b
+
+
 class TestSmoothness:
     def test_factor_success(self):
         assert factor_over_primes(27648, (2, 3)) == {2: 10, 3: 3}
@@ -341,6 +433,11 @@ class TestSmoothness:
     def test_is_smooth(self):
         assert is_smooth(2 ** 15 * 3 ** 10 * 5 ** 4 * 13, (2, 3, 5, 13))
         assert not is_smooth(7, (2, 3, 5))
+
+    @pytest.mark.parametrize("primes", [(1,), (2, 1), (0, 3), (-2,)])
+    def test_entry_below_two_is_refused(self, primes):
+        with pytest.raises(ValueError, match="below 2"):
+            is_smooth(2, primes)
 
     @given(st.integers(min_value=1, max_value=10 ** 6))
     @settings(max_examples=80, deadline=None)
