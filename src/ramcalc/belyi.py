@@ -143,22 +143,6 @@ def exponent_factorizations(t: BelyiTuple, primes: Iterable[int]):
     return [factor_over_primes(r, primes) for r in t.exponents]
 
 
-def hyperplane_membership(points: Sequence[int]):
-    """Whether some ordering (x1,x2,x3,x4) satisfies -x1-x2+x3+x4 = 0.
-
-    Returns (True, ordering) with the witness, or (False, None).
-    """
-    pts = [QQ.coerce(p) for p in points]
-    if len(pts) != 4:
-        raise ValueError("hyperplane test is for 4-tuples")
-    from itertools import permutations
-
-    for perm in permutations(pts):
-        if -perm[0] - perm[1] + perm[2] + perm[3] == 0:
-            return True, tuple(perm)
-    return False, None
-
-
 # ---------------------------------------------------------------------------
 # search
 

@@ -41,6 +41,7 @@ from .manifest import (
     render_point,
 )
 from .relation import (
+    DEFAULT_BOUND,
     CurveNode,
     EdgeRule,
     NodePattern,
@@ -600,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def rel_common(r):
         r.add_argument("--store", help="store file (default: bundled rule set)")
-        r.add_argument("--bound", type=int, default=64)
+        r.add_argument("--bound", type=int, default=DEFAULT_BOUND)
         common(r)
 
     r = rsub.add_parser("query", help="shortest derivation between two nodes")

@@ -35,14 +35,6 @@ RETRY_CAP = 1000
 MAX_STEPS = 64
 
 
-class TargetCollision(ValueError):
-    pass
-
-
-class SingularSystem(ValueError):
-    pass
-
-
 class StrategyExhausted(RuntimeError):
     pass
 
@@ -53,14 +45,14 @@ class HeightCapExceeded(RuntimeError):
 
 @dataclass
 class AlgebraicPointSet:
-    """Monic irreducible rational polynomials plus an infinity flag.
+    """Monic irreducible rational polynomials.
 
     Each polynomial stands for its full conjugacy class of points;
-    degree-1 entries are rational points.
+    degree-1 entries are rational points.  Infinity is not tracked:
+    every step map is a polynomial, which fixes it.
     """
 
     polys: list
-    has_inf: bool = False
 
     def __post_init__(self):
         seen = set()
@@ -72,20 +64,18 @@ class AlgebraicPointSet:
             seen.add(p.coeffs)
 
     @staticmethod
-    def from_polys(polys: Iterable[Poly], has_inf: bool = False) -> "AlgebraicPointSet":
+    def from_polys(polys: Iterable[Poly]) -> "AlgebraicPointSet":
         """The set of roots of polys, split into irreducible entries."""
-        return AlgebraicPointSet.from_irreducible(
-            (q for p in polys for q in _irreducible_factors(p)), has_inf
-        )
+        return AlgebraicPointSet.from_irreducible(q for p in polys for q in _irreducible_factors(p))
 
     @staticmethod
-    def from_irreducible(polys: Iterable[Poly], has_inf: bool = False) -> "AlgebraicPointSet":
+    def from_irreducible(polys: Iterable[Poly]) -> "AlgebraicPointSet":
         """The set with the given monic irreducible entries, which are not
         factored again: repeats dropped, sorted by (degree, coefficients)."""
         out = {}
         for q in polys:
             out.setdefault(q.coeffs, q)
-        return AlgebraicPointSet(sorted(out.values(), key=lambda q: (q.degree, q.coeffs)), has_inf)
+        return AlgebraicPointSet(sorted(out.values(), key=lambda q: (q.degree, q.coeffs)))
 
     def max_degree(self) -> int:
         return max((p.degree for p in self.polys), default=0)
@@ -125,16 +115,17 @@ def build_cofactor(f: Poly, targets: list) -> Poly:
 
     Write g = z^r + a_{r-1} z^{r-1} + ... + a_0; each condition
     F'(x_i) = 0 is linear in the a_j.  Targets must be distinct and
-    avoid the roots of f and the common roots of f and f'.
+    avoid the roots of f (ValueError otherwise).  ArithmeticError when
+    the system is singular.
     """
     if f.field != QQ:
         raise TypeError("cofactor construction works over Q")
     targets = [QQ.coerce(x) for x in targets]
     if len(set(targets)) != len(targets):
-        raise TargetCollision("repeated target")
+        raise ValueError("repeated target")
     for x in targets:
         if f.evaluates_to_zero(x):
-            raise TargetCollision(f"target {x} is a root of f")
+            raise ValueError(f"target {x} is a root of f")
     r = len(targets)
     if r == 0:
         return Poly(QQ, [1])
@@ -153,7 +144,7 @@ def build_cofactor(f: Poly, targets: list) -> Poly:
         rhs.append(-lead)
     sol = solve_linear_system(matrix, rhs)
     if sol is None:
-        raise SingularSystem(f"degenerate {r}x{r} system for targets {targets}")
+        raise ArithmeticError(f"degenerate {r}x{r} system for targets {targets}")
     return Poly(QQ, list(sol) + [1])
 
 
@@ -163,7 +154,6 @@ class ReductionStep:
     k: int
     r: int
     targets: list
-    cofactor: Poly
     product: Poly  # F = f * g, degree 2^k
     coeff_bits: int  # largest numerator/denominator bit size in F
 
@@ -236,11 +226,11 @@ def _admissible_step(f: Poly, k: int, targets: list, height_cap: Optional[int]):
         g = build_cofactor(f, targets)
         F = f * g
         _check_step(F, targets)
-    except (SingularSystem, TargetCollision, ArithmeticError):
+    except ArithmeticError:
         return None
     return ReductionStep(
-        eliminated=f, k=k, r=len(targets), targets=targets, cofactor=g,
-        product=F, coeff_bits=_capped_bits(F, height_cap),
+        eliminated=f, k=k, r=len(targets), targets=targets, product=F,
+        coeff_bits=_capped_bits(F, height_cap),
     )
 
 
@@ -310,7 +300,7 @@ def reduction_step(S: AlgebraicPointSet, height_cap: Optional[int] = None):
     for q in _irreducible_factors(crit):
         new_polys.append(q)
         new_polys.append(image(q))
-    new_set = AlgebraicPointSet.from_irreducible(new_polys, has_inf=True)
+    new_set = AlgebraicPointSet.from_irreducible(new_polys)
 
     old_measure, new_measure = S.measure(), new_set.measure()
     if not new_measure < old_measure:
@@ -326,8 +316,12 @@ def contract_to_rational(
     The composite map is the composition of the step products F; its
     local indices multiply along orbits, and each step contributes
     finite indices in {1, 2} and index 2^k at infinity, so every
-    composite index is a power of 2.
+    composite index is a power of 2.  A height cap below 1 is a
+    ValueError: every polynomial the steps build has a coefficient of
+    at least 1 bit.
     """
+    if height_cap is not None and height_cap < 1:
+        raise ValueError(f"height cap must be at least 1, got {height_cap}")
     steps = []
     cert = []
     current = S

@@ -14,15 +14,8 @@ from dataclasses import dataclass, field as dc_field
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .exact import Poly, QQ, squarefree_part
-from .rmap import PointSet
-
 
 class InconsistentProfile(ValueError):
-    pass
-
-
-class SingularCurve(ValueError):
     pass
 
 
@@ -154,38 +147,6 @@ def permutation_compositum_fiber(fa: Sequence[int], gb: Sequence[int]) -> tuple:
                 cur = (succ_f(cur[0]), succ_g(cur[1]))
             orbits.append(size)
     return tuple(sorted(orbits))
-
-
-def is_unramified_over(f: CoverProfile, g: CoverProfile):
-    """Abhyankar's criterion: every g-index divides every f-index.
-
-    True means the compositum is unramified over the f-source.
-    Returns (ok, witness) with witness = (label, a, b) on failure.
-    """
-    for z in set(f.fibers) | set(g.fibers):
-        for a in f.fiber(z):
-            for b in g.fiber(z):
-                if a % b:
-                    return False, (z, a, b)
-    return True, None
-
-
-# ---------------------------------------------------------------------------
-# division polynomials (x-coordinates of small torsion)
-
-
-def division_poly_zeroset(a, b, m: int) -> PointSet:
-    """x-coordinates of the nontrivial m-torsion of y^2 = x^3 + ax + b."""
-    a, b = QQ.coerce(a), QQ.coerce(b)
-    if 4 * a ** 3 + 27 * b ** 2 == 0:
-        raise SingularCurve("discriminant vanishes")
-    if m == 2:
-        p = Poly(QQ, [b, a, 0, 1])
-    elif m == 3:
-        p = Poly(QQ, [-a * a, 12 * b, 6 * a, 0, 3])
-    else:
-        raise ValueError("only m = 2 and m = 3 are supported")
-    return PointSet(squarefree_part(p))
 
 
 # ---------------------------------------------------------------------------

@@ -491,61 +491,13 @@ def _inverse_mod(a: Poly, m: Poly) -> Poly:
     return s0 * Poly(field, [field.one / r0.coeffs[0]])
 
 
-def _bareiss(m) -> int:
-    """Fraction-free Gaussian elimination of an integer matrix, in place,
-    over its first len(m) columns; later columns (a right-hand side) are
-    carried along.  Every division is exact, since each entry becomes a
-    minor of the input.  Returns the sign of the row swaps, or 0 when
-    that square part is singular.  Afterwards row k from column k on is
-    row k of an equivalent upper-triangular system, and sign * m[-1][n-1]
-    is the determinant of the square part.
-    """
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        top = m[k]
-        pivot = top[k]
-        for row in m[k + 1:]:
-            a = row[k]
-            for j in range(k + 1, len(row)):
-                row[j] = (row[j] * pivot - a * top[j]) // prev
-        prev = pivot
-    return sign if not n or m[-1][n - 1] else 0
-
-
-def _resultant_qq(a: Poly, b: Poly):
-    """Sylvester-determinant resultant over Q in integer arithmetic."""
-    ai, da = a.int_form()
-    bi, db = b.int_form()
-    na, nb = a.degree, b.degree
-    rows = []
-    for i in range(nb):
-        rows.append([0] * i + list(reversed(ai)) + [0] * (nb - 1 - i))
-    for i in range(na):
-        rows.append([0] * i + list(reversed(bi)) + [0] * (na - 1 - i))
-    sign = _bareiss(rows)
-    return RAT(sign * rows[-1][-1], da ** nb * db ** na)
-
-
 def resultant(a: Poly, b: Poly):
-    """Res(a, b) = lc(a)^deg(b) * prod b(alpha) over the roots alpha of a.
-
-    Computed over Q by an integer Sylvester determinant (fraction-free,
-    fast even with huge coefficients) and over number fields by the
-    Euclidean remainder recurrence.
-    """
+    """Res(a, b) = lc(a)^deg(b) * prod b(alpha) over the roots alpha of a,
+    by the Euclidean remainder recurrence over the field of a (Q or a
+    number field)."""
     if a.is_zero() or b.is_zero():
         raise ValueError("resultant of a zero polynomial")
     field = a.field
-    if isinstance(field, RationalField) and a.degree > 0 and b.degree > 0:
-        return _resultant_qq(a, b)
     acc = field.one
     sign = 1
     while True:
@@ -619,39 +571,6 @@ def cyclotomic(n: int) -> Poly:
             if rem:
                 raise ArithmeticError(f"Phi_{d} does not divide z^{n} - 1")
     return num
-
-
-def rational_roots(p: Poly) -> list[Fraction]:
-    """All rational roots of a polynomial over QQ, with multiplicity 1 each."""
-    if p.field != QQ:
-        raise TypeError("rational root search needs a polynomial over QQ")
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    ints, _ = p.int_form()
-    shift = 0
-    while ints[shift] == 0:
-        shift += 1
-    roots = [Fraction(0)] if shift else []
-    a0, an = abs(ints[shift]), abs(ints[-1])
-    for p0 in _divisors(a0):
-        for q0 in _divisors(an):
-            for sgn in (1, -1):
-                cand = Fraction(sgn * p0, q0)
-                if cand not in roots and not p(cand):
-                    roots.append(cand)
-    return sorted(roots)
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -954,9 +873,10 @@ def is_irreducible(p: Poly) -> bool:
 
 
 def solve_linear_system(matrix: list[list[Fraction]], rhs: list[Fraction]):
-    """Solve M x = b over Q: each row is scaled to integers, `_bareiss`
-    triangularises the augmented matrix, and back-substitution runs in
-    rationals.
+    """Solve M x = b over Q: each row is scaled to integers, fraction-free
+    (Bareiss) elimination triangularises the augmented matrix, and
+    back-substitution runs in rationals.  Every division in the
+    elimination is exact, since each entry becomes a minor of the input.
 
     Returns the solution vector, or None if the square system is singular.
     """
@@ -964,8 +884,20 @@ def solve_linear_system(matrix: list[list[Fraction]], rhs: list[Fraction]):
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("square system expected")
     aug = [_int_vector([QQ.coerce(v) for v in row] + [QQ.coerce(b)])[0] for row, b in zip(matrix, rhs)]
-    if not _bareiss(aug):
-        return None
+    prev = 1
+    for k in range(n):
+        if not aug[k][k]:
+            swap = next((i for i in range(k + 1, n) if aug[i][k]), None)
+            if swap is None:
+                return None
+            aug[k], aug[swap] = aug[swap], aug[k]
+        top = aug[k]
+        pivot = top[k]
+        for row in aug[k + 1:]:
+            a = row[k]
+            for j in range(k + 1, n + 1):
+                row[j] = (row[j] * pivot - a * top[j]) // prev
+        prev = pivot
     x = [RAT(0)] * n
     for i in range(n - 1, -1, -1):
         row = aug[i]

@@ -15,11 +15,8 @@ from .exact import (
     NumberFieldElement,
     Poly,
     QQ,
-    _image_poly,
-    _inverse_mod,
     is_smooth,
     poly_gcd,
-    squarefree_part,
 )
 
 
@@ -56,13 +53,11 @@ class VerificationError(Exception):
 
 class IndexMismatch(VerificationError):
     def __init__(self, point, claimed, actual):
-        self.point, self.claimed, self.actual = point, claimed, actual
         super().__init__(f"index at {point!r}: claimed {claimed}, actual {actual}")
 
 
 class IncompletenessGap(VerificationError):
     def __init__(self, missing):
-        self.missing = missing
         super().__init__(f"ramification divisor incomplete: missing total {missing}")
 
 
@@ -138,22 +133,6 @@ class RationalMap:
 
     # -- structure -----------------------------------------------------
 
-    def compose(self, inner: "RationalMap") -> "RationalMap":
-        """self o inner, in lowest terms."""
-        if self.field != inner.field:
-            raise TypeError("maps over different fields")
-        d = self.degree
-        P, Q = inner.num, inner.den
-        num = Poly(self.field, [])
-        den = Poly(self.field, [])
-        for i in range(d + 1):
-            pq = (P ** i) * (Q ** (d - i))
-            if i < len(self.num.coeffs):
-                num = num + pq * self.num.coeffs[i]
-            if i < len(self.den.coeffs):
-                den = den + pq * self.den.coeffs[i]
-        return RationalMap(num, den)
-
     def local_index(self, x) -> int:
         """Multiplicity of x as a solution of f(z) = f(x)."""
         if is_inf(x):
@@ -199,91 +178,6 @@ class RationalMap:
         if total != expect:
             raise IncompletenessGap(expect - total)
         return claimed
-
-    def branch_locus(self, claimed: Iterable[RamPoint]) -> "PointSet":
-        """Images of a verified ramification divisor, as a point set."""
-        verified = self.ram_divisor(claimed)
-        finite = []
-        has_inf = False
-        for rp in verified:
-            y = self.eval(rp.point)
-            if is_inf(y):
-                has_inf = True
-            else:
-                finite.append(y)
-        return PointSet.from_points(self.field, finite, has_inf)
-
-
-# ---------------------------------------------------------------------------
-# point sets as squarefree polynomials
-
-
-class PointSet:
-    """Finite part as a squarefree monic polynomial, plus an infinity flag."""
-
-    def __init__(self, poly: Poly, has_inf: bool = False):
-        if poly.is_zero():
-            raise ValueError("finite part must be a nonzero polynomial")
-        p = poly.monic()
-        sf = squarefree_part(p) if p.degree > 0 else p
-        if sf != p:
-            raise ValueError("finite part must be squarefree")
-        self.poly = p
-        self.has_inf = has_inf
-
-    @staticmethod
-    def from_points(field, points: Iterable, has_inf: bool = False) -> "PointSet":
-        distinct = []
-        for p in points:
-            p = field.coerce(p)
-            if p not in distinct:
-                distinct.append(p)
-        return PointSet(Poly.from_roots(field, distinct), has_inf)
-
-    @property
-    def field(self):
-        return self.poly.field
-
-    def __eq__(self, other):
-        if not isinstance(other, PointSet):
-            return NotImplemented
-        return self.poly == other.poly and self.has_inf == other.has_inf
-
-    def __repr__(self):
-        return f"PointSet({self.poly!r}, inf={self.has_inf})"
-
-
-def image_set(f: RationalMap, s: PointSet) -> PointSet:
-    """Zero set of the image of s under f, without locating any root.
-
-    Points of s that are poles of f go to infinity.  On the rest, f
-    agrees mod s with the polynomial F = P * Q^-1 mod s, so the finite
-    image polynomial is the characteristic polynomial of multiplication
-    by F mod s, taken from power sums and made squarefree
-    (`exact._image_poly`).  The point at
-    infinity goes to f(inf).
-    """
-    field = f.field
-    has_inf = False
-    parts = []
-    if s.has_inf:
-        v = f.eval(INF)
-        if is_inf(v):
-            has_inf = True
-        else:
-            parts.append(Poly(field, [-v, field.one]))
-    pole_gcd = poly_gcd(s.poly, f.den)
-    finite_src = s.poly
-    if pole_gcd.degree > 0:
-        has_inf = True
-        finite_src = s.poly // pole_gcd
-    if finite_src.degree > 0:
-        parts.append(_image_poly(f.num * _inverse_mod(f.den, finite_src), finite_src))
-    out = Poly(field, [1])
-    for p in parts:
-        g = poly_gcd(out, p)
-        out = out * (p // g) if g.degree > 0 else out * p
-    return PointSet(out, has_inf)
 
 
 # ---------------------------------------------------------------------------

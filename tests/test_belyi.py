@@ -12,7 +12,6 @@ from ramcalc.belyi import (
     NotBelyiForm,
     dlog_numerator,
     exponent_factorizations,
-    hyperplane_membership,
     search_smooth_tuples,
     vandermonde_exponents,
     verify_belyi,
@@ -74,12 +73,6 @@ class TestFactorizationsAndHyperplane:
         t = BelyiTuple((0, 1, 6, 7), vandermonde_exponents((0, 1, 6, 7)))
         facs = exponent_factorizations(t, (2, 3))
         assert any(f is None for f in facs)
-
-    def test_hyperplane_membership(self):
-        ok, witness = hyperplane_membership((0, 1, 5, 6))
-        assert ok and -witness[0] - witness[1] + witness[2] + witness[3] == 0
-        ok, witness = hyperplane_membership((0, 1, 2, 7))
-        assert not ok and witness is None
 
 
 class TestSearch:

@@ -313,6 +313,19 @@ class TestContract:
                                 payload["error"]).group(1))
         assert 65536 < bits < 374638
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_height_cap_below_one_exits_two(self, capsys, cap):
+        for poly in ("z^2-2", "z"):
+            code, out, err = run(capsys, "contract", poly, "--height-cap", cap)
+            assert code == 2, poly
+            assert out == "" and err == f"error: height cap must be at least 1, got {cap}\n"
+
+    def test_height_cap_of_one_is_accepted(self, capsys):
+        assert run(capsys, "contract", "z", "--height-cap", "1")[0] == 0
+        code, out, _ = run(capsys, "contract", "z^2-2", "--height-cap", "1")
+        assert code == 1
+        assert re.fullmatch(r"coefficient size \d+ bits exceeds cap 1\n", out)
+
 
 class TestRelation:
     def test_query_reference_chain(self, capsys):

@@ -50,6 +50,19 @@ class TestBuildCofactor:
         assert F.derivative().evaluates_to_zero(Fraction(0))
         assert F.derivative().evaluates_to_zero(Fraction(1))
 
+    def test_repeated_target_is_refused(self):
+        with pytest.raises(ValueError, match="repeated target"):
+            build_cofactor(Poly(QQ, [-2, 0, 0, 1]), [Fraction(1), Fraction(1)])
+
+    def test_root_of_f_is_refused(self):
+        with pytest.raises(ValueError, match="target 2 is a root of f"):
+            build_cofactor(Poly(QQ, [-4, 0, 1]), [Fraction(2)])
+
+    def test_singular_system_is_arithmetic_error(self):
+        # f'(0) = 0 for z^3 - 2, so the one condition at target 0 reads 0 = 0
+        with pytest.raises(ArithmeticError, match="degenerate 1x1 system"):
+            build_cofactor(Poly(QQ, [-2, 0, 0, 1]), [Fraction(0)])
+
 
 class TestSquarefreeCheck:
     def test_modular_route_agrees_with_exact_route(self):

@@ -12,8 +12,6 @@ from ramcalc.cover import (
     InconsistentProfile,
     ParamIndex,
     compositum_profile,
-    division_poly_zeroset,
-    is_unramified_over,
     permutation_compositum_fiber,
     rh_genus,
     standard_projection_profile,
@@ -71,30 +69,6 @@ class TestCompositumRule:
             g = CoverProfile(degree=dg, fibers={"z": gb})
             base, _, _ = compositum_profile(f, g)
             assert base.fibers["z"] == permutation_compositum_fiber(fa, gb)
-
-    def test_unramified_criterion(self):
-        f = CoverProfile(degree=4, fibers={"z": (4,)})
-        g = CoverProfile(degree=2, fibers={"z": (2,)})
-        ok, witness = is_unramified_over(f, g)
-        assert ok and witness is None
-        ok, witness = is_unramified_over(g, f)
-        assert not ok and witness == ("z", 2, 4)
-
-
-class TestDivisionPolynomials:
-    def test_two_torsion_of_nonsingular_curve(self):
-        s = division_poly_zeroset(0, -1, 2)  # y^2 = x^3 - 1
-        assert s.poly.degree == 3
-
-    def test_three_torsion(self):
-        s = division_poly_zeroset(0, -1, 3)
-        assert s.poly.degree == 4
-
-    def test_singular_curve_rejected(self):
-        from ramcalc.cover import SingularCurve
-
-        with pytest.raises(SingularCurve):
-            division_poly_zeroset(-3, 2, 2)
 
 
 class TestParamIndex:

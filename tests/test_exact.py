@@ -1,6 +1,7 @@
 """Exact rationals, polynomials, resultants, and cyclotomic fields."""
 
 import ast
+import re
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -24,7 +25,6 @@ from ramcalc.exact import (
     is_irreducible,
     is_smooth,
     poly_gcd,
-    rational_roots,
     resultant,
     solve_linear_system,
     squarefree_part,
@@ -457,14 +457,54 @@ class TestLinearAlgebraAndRoots:
         )
         assert sol == [Fraction(2), Fraction(1)]
 
-    def test_rational_roots(self):
-        p = Poly.from_roots(QQ, [Fraction(1, 2), -3]) * Poly(QQ, [1, 0, 1])
-        assert sorted(rational_roots(p)) == [Fraction(-3), Fraction(1, 2)]
-
     def test_irreducibility(self):
         assert is_irreducible(Poly(QQ, [1, 0, 1]))
         assert is_irreducible(Poly(QQ, [-2, 0, 0, 1]))
         assert not is_irreducible(Poly(QQ, [-1, 0, 1]))
+
+
+# top-level names kept although only tests call them
+UNCALLED_ALLOWED = {
+    "permutation_compositum_fiber": "the brute-force oracle for the compositum rule (criterion 5)",
+    "load_bundled_chain": "the acceptance tests load the bundled chains through it",
+    "load_bundled_cert": "the acceptance tests load the bundled certificates through it",
+}
+DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _names_in(node):
+    """Names a statement mentions: identifiers, attributes, imported
+    names and the pieces of dotted-name string constants (the bench
+    names its traced entry points as such strings)."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name.rsplit(".", 1)[-1]
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and DOTTED_NAME.fullmatch(n.value):
+            yield from n.value.split(".")
+
+
+class TestEveryNameHasACaller:
+    def test_top_level_names_are_used_outside_their_definition(self):
+        root = Path(__file__).resolve().parents[1]
+        package = root / "src" / "ramcalc"
+        defined = []
+        used = set()
+        for d in ("src", "bench", "tools"):
+            for path in sorted((root / d).rglob("*.py")):
+                for stmt in ast.parse(path.read_text()).body:
+                    own = None
+                    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                        own = stmt.name
+                        if path.parent == package:
+                            defined.append((path.stem, own))
+                    used.update(n for n in _names_in(stmt) if n != own)
+        assert [f"{m}.{n}" for m, n in defined if n not in used and n not in UNCALLED_ALLOWED] == []
+        # an allowlisted name that gained a caller leaves the allowlist
+        assert set(UNCALLED_ALLOWED) & used == set()
 
 
 class TestSympyBridge:
