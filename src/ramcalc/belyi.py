@@ -1,6 +1,7 @@
 """Belyi functions in product form prod (x - n_i)^{r_i}.
 
-Exponent vectors come from Vandermonde minors; verification works
+Exponent vectors come from Vandermonde minors, computed in integers
+from the pairwise differences of the support; verification works
 purely on exponents and the logarithmic-derivative numerator, so maps
 of astronomically large degree are never expanded.
 """
@@ -10,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .exact import Poly, QQ, _int_vector, _primitive, factor_over_primes, is_smooth
+from .exact import Poly, QQ, _int_vector, factor_over_primes, is_smooth
 
 
 class DegenerateSupport(ValueError):
@@ -63,19 +64,17 @@ class BelyiVerification:
     infinity_index: int     # index of the point at infinity over 1
 
 
-def vandermonde(points: Sequence[Fraction]) -> Fraction:
-    v = Fraction(1)
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            v *= points[j] - points[i]
-    return v
-
-
 def vandermonde_exponents(support: Sequence) -> tuple[int, ...]:
     """Exponent vector r_i = (-1)^(i-1) V(n_1,...,^n_i,...,n_k), reduced.
 
-    Raw minors are divided by their gcd and sign-normalized so the
-    first exponent is positive.  The result always sums to zero.
+    With D_i = prod_{j != i} (n_i - n_j), the minor (-1)^(i-1) V(n
+    without n_i) equals (-1)^(k-1) V(n) / D_i, so the vector is
+    proportional to 1/D_i.  Scaling and translating the support leave
+    it unchanged, so denominators are cleared first and the vector is
+    L / D_i in integers, L = lcm |D_i|; its content is 1, since each
+    prime reaches its highest power in L at some D_i.  It is
+    sign-normalized so the first exponent is positive, and always sums
+    to zero.
     """
     pts = [QQ.coerce(n) for n in support]
     if len(set(pts)) != len(pts):
@@ -85,12 +84,16 @@ def vandermonde_exponents(support: Sequence) -> tuple[int, ...]:
         raise DegenerateSupport("need at least two support points")
     if k == 2:
         return (1, -1)  # documented boundary: no finite ramification
-    raw = []
-    for i in range(k):
-        minor = vandermonde(pts[:i] + pts[i + 1:])
-        raw.append(minor if i % 2 == 0 else -minor)
-    # clear denominators, then reduce by gcd
-    ints = [int(v) for v in _primitive(_int_vector(raw)[0])]
+    ns = _int_vector(pts)[0]
+    ds = []
+    for a in ns:
+        d = 1
+        for b in ns:
+            if b != a:
+                d *= a - b
+        ds.append(d)
+    top = lcm(*ds)
+    ints = [top // d for d in ds]
     if ints[0] < 0:
         ints = [-v for v in ints]
     if sum(ints) != 0:

@@ -381,10 +381,38 @@ def _compose_ok(outer_fiber: Fiber, inner: Fiber, claimed: Fiber, n: int):
     return False, f"unsupported claim form {claimed.form}"
 
 
+def _given_profile_verdict(arrow: Arrow, basis: str, instances: Sequence[int]) -> ClaimVerdict:
+    """Check a profile taken as given against its stated degree d(n).
+
+    At each instance an explicit fiber sums to d(n), an "all e" fiber
+    has e | d(n), and a "multiple m" fiber has m <= d(n).  An arrow
+    without a stated degree, and a "divides" fiber, bound nothing here.
+    """
+    verdict = ClaimVerdict("profile", arrow.name, "pass", [f"basis {basis}"])
+    if arrow.degree is None:
+        return verdict
+    for label, fiber in arrow.fibers.items():
+        for n in instances:
+            d = arrow.degree.at(n)
+            vals = fiber.values_at(n)
+            if fiber.form == "explicit" and sum(vals) != d:
+                why = f"indices sum to {sum(vals)}, degree is {d}"
+            elif fiber.form == "all" and d % vals[0]:
+                why = f"index {vals[0]} does not divide degree {d}"
+            elif fiber.form == "multiple" and vals[0] > d:
+                why = f"multiple {vals[0]} exceeds degree {d}"
+            else:
+                continue
+            verdict.status = "fail"
+            verdict.details.append(f"over {label} at n={n}: {why}")
+    return verdict
+
+
 def verify_certificate(cert: DiagramCertificate, parameter_instances: Sequence[int]) -> CertificateReport:
     """Discharge a diagram certificate at the given parameter values.
 
-    Claims are processed in order; profile claims register arrows,
+    Claims are processed in order; profile claims register arrows (a
+    profile given is checked against the arrow's degree),
     unramified/project/compose claims are checked against the arrows
     already registered.  Assumptions are echoed in the report and never
     counted as passes.
@@ -415,7 +443,7 @@ def verify_certificate(cert: DiagramCertificate, parameter_instances: Sequence[i
                 assumptions.append((tag, f"profile of {arrow.name} taken as given"))
                 verdicts.append(ClaimVerdict("profile", arrow.name, "assumed", [f"tag {tag}"]))
             else:
-                verdicts.append(ClaimVerdict("profile", arrow.name, "pass", [f"basis {basis}"]))
+                verdicts.append(_given_profile_verdict(arrow, basis, instances))
         elif kind == "assume":
             _, tag, text = claim
             assumptions.append((tag, text))

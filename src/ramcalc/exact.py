@@ -11,7 +11,7 @@ from __future__ import annotations
 import numbers
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 try:  # GMP-backed rationals: identical semantics, far faster gcd
     from gmpy2 import mpq as RAT, gcd as _int_gcd

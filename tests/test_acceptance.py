@@ -6,10 +6,7 @@ loudly if any stated check or time budget is missed.
 
 import random
 import time
-from fractions import Fraction
 from math import gcd
-
-import pytest
 
 from ramcalc.belyi import (
     BelyiTuple,
@@ -27,10 +24,10 @@ from ramcalc.cover import (
     standard_projection_profile,
     verify_certificate,
 )
-from ramcalc.exact import QQ, Poly, cyclotomic, factor_over_primes, is_smooth
+from ramcalc.exact import QQ, Poly, cyclotomic, is_smooth
 from ramcalc.manifest import bundled_text, load_bundled_cert, load_bundled_chain
 from ramcalc.relation import CurveNode, RuleStore
-from ramcalc.rmap import INF, is_inf, verify_chain
+from ramcalc.rmap import is_inf, verify_chain
 from ramcalc.sunit import prop24_pairs, thm26_family, unit_equation_solutions
 
 

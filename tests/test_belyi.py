@@ -1,6 +1,9 @@
 """Four-point product-form maps branched over {0, 1, infinity}."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,39 @@ from ramcalc.belyi import (
     vandermonde_exponents,
     verify_belyi,
 )
+from ramcalc.exact import is_smooth
+
+
+def minor_exponents(support):
+    """Reference: r_i = (-1)^i V(n without n_i), each minor a product of
+    Fraction differences, cleared of denominators, divided by the
+    content and sign-normalized."""
+    pts = [Fraction(n) for n in support]
+    raw = []
+    for i in range(len(pts)):
+        rest = pts[:i] + pts[i + 1:]
+        v = Fraction(1)
+        for a in range(len(rest)):
+            for b in range(a + 1, len(rest)):
+                v *= rest[b] - rest[a]
+        raw.append(v if i % 2 == 0 else -v)
+    den = lcm(*(v.denominator for v in raw))
+    ints = [int(v * den) for v in raw]
+    g = gcd(*ints)
+    sign = 1 if ints[0] > 0 else -1
+    return tuple(sign * v // g for v in ints)
+
+
+def minor_search(k, primes, box):
+    """Reference box search: the normalized supports in lexicographic
+    order, kept when every minor exponent is smooth."""
+    out = []
+    for rest in combinations(range(1, box + 1), k - 1):
+        if gcd(*rest) == 1:
+            exps = minor_exponents((0,) + rest)
+            if all(is_smooth(r, primes) for r in exps):
+                out.append(((0,) + rest, exps))
+    return out
 
 
 class TestVandermondeExponents:
@@ -29,6 +65,16 @@ class TestVandermondeExponents:
     def test_degenerate_support_rejected(self):
         with pytest.raises(DegenerateSupport):
             vandermonde_exponents((0, 1, 1, 5))
+
+    def test_matches_minor_formula_on_rational_supports(self):
+        rng = random.Random(3)
+        for k in range(3, 8):
+            for _ in range(300):
+                sup = set()
+                while len(sup) < k:
+                    sup.add(Fraction(rng.randint(-60, 60), rng.randint(1, 12)))
+                sup = rng.sample(sorted(sup), k)
+                assert vandermonde_exponents(sup) == minor_exponents(sup), sup
 
     @given(st.lists(st.integers(min_value=-8, max_value=8), min_size=4, max_size=4,
                     unique=True))
@@ -80,6 +126,11 @@ class TestSearch:
         found = search_smooth_tuples(4, (2, 3), 10)
         supports = {t.support for t in found}
         assert (0, 1, 5, 6) in supports
+
+    @pytest.mark.parametrize("k,primes,box", [(4, (2, 3), 30), (5, (2, 3, 5), 20)])
+    def test_bench_boxes_match_minor_search(self, k, primes, box):
+        found = [(t.support, t.exponents) for t in search_smooth_tuples(k, primes, box)]
+        assert found == minor_search(k, primes, box)
 
     def test_all_results_verify(self):
         for t in search_smooth_tuples(4, (2, 3), 10):

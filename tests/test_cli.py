@@ -2,17 +2,19 @@
 
 import hashlib
 import json
+import os
 import random
 import re
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
 
 import ramcalc
-from ramcalc import contract
+from ramcalc import cli, contract
 from ramcalc.cli import main
 from ramcalc.manifest import bundled_text
 
@@ -235,6 +237,55 @@ class TestBelyi:
         assert code == 0
         payload = json.loads(out)
         assert ["0", "1", "5", "6"] in [t["support"] for t in payload["tuples"]]
+
+    @staticmethod
+    def largest_box_under_cap(k):
+        box = k - 1
+        while comb(box + 1, k - 1) <= cli.MAX_BELYI_SUPPORTS:
+            box += 1
+        return box
+
+    @pytest.mark.parametrize("k,box", [
+        ("4", "0"), ("4", "-5"), ("7", "100000"),
+        ("5", "cap+1"), ("6", "cap+1"), ("7", "cap+1"),
+    ])
+    def test_search_bounds_exit_two_without_enumerating(self, capsys, monkeypatch, k, box):
+        if box == "cap+1":
+            box = str(self.largest_box_under_cap(int(k)) + 1)
+
+        def refuse(*args):
+            raise AssertionError("the enumeration started")
+        monkeypatch.setattr(cli, "search_smooth_tuples", refuse)
+        code, out, err = run(capsys, "belyi", "search", "--k", k, "--primes", "2,3", "--box", box)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_search_at_the_cap_runs(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "search_smooth_tuples", lambda k, primes, box: [])
+        box = self.largest_box_under_cap(5)
+        code, out, _ = run(capsys, "belyi", "search", "--k", "5", "--primes", "2", "--box", str(box))
+        assert code == 0
+        assert out == "count: 0\n"
+
+    def test_bench_boxes_far_under_the_cap(self):
+        assert 10 * max(comb(30, 3), comb(20, 4)) < cli.MAX_BELYI_SUPPORTS
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_closed_stdout_exits_without_traceback(self, unbuffered):
+        env = dict(os.environ, PYTHONPATH=str(Path(ramcalc.__file__).resolve().parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen([sys.executable, "-m", "ramcalc.cli", "contract", "z^3-2", "--json"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert "Traceback" not in err.decode()
+        assert "BrokenPipeError" not in err.decode()
+        assert proc.returncode == 1
 
 
 class TestContract:

@@ -6,13 +6,12 @@ import pytest
 
 from ramcalc.contract import (
     AlgebraicPointSet,
-    StrategyExhausted,
     build_cofactor,
     contract_to_rational,
     reduction_step,
     split_degree,
 )
-from ramcalc.exact import QQ, Poly, _is_squarefree_qq, cyclotomic, resultant, squarefree_part
+from ramcalc.exact import QQ, Poly, _is_squarefree_qq, cyclotomic, squarefree_part
 
 
 class TestSplitDegree:

@@ -17,6 +17,7 @@ from ramcalc.cover import (
     standard_projection_profile,
     verify_certificate,
 )
+from ramcalc.manifest import bundled_text, parse_cert
 
 
 class TestRiemannHurwitz:
@@ -162,3 +163,29 @@ class TestCertificates:
         bad = DiagramCertificate(cert.name, cert.nodes, claims, cert.conclusion)
         with pytest.raises(CertificateError):
             verify_certificate(bad, (1,))
+
+    @pytest.mark.parametrize("arrow,label,fiber", [
+        ("f1", "0", Fiber("explicit", (ParamIndex.parse("4n"), ParamIndex.parse("2n")))),
+        ("f6", "-1", Fiber("all", (ParamIndex.parse("3"),))),
+        ("F2", "0", Fiber("multiple", (ParamIndex.parse("64"),))),
+    ])
+    def test_given_profile_checked_against_degree(self, arrow, label, fiber):
+        cert = doubling_certificate()
+        for claim in cert.claims:
+            if claim[0] == "profile" and claim[1].name == arrow:
+                claim[1].fibers[label] = fiber
+        report = verify_certificate(cert, (1, 2, 3))
+        statuses = {v.subject: v.status for v in report.verdicts if v.kind == "profile"}
+        assert statuses.pop(arrow) == "fail"
+        assert set(statuses.values()) == {"pass"}
+
+    def test_bundled_mutant_profile_fails(self):
+        text = bundled_text("prop7a.cert")
+        assert "fiber f6 -1 all 2\n" in text
+        m = parse_cert(text.replace("fiber f6 -1 all 2\n", "fiber f6 -1 all 3\n"))
+        report = verify_certificate(m.certificate, m.instances)
+        (verdict,) = [v for v in report.verdicts if v.kind == "profile" and v.subject == "f6"]
+        assert verdict.status == "fail"
+        assert verdict.details == ["basis given"] + [
+            f"over -1 at n={n}: index 3 does not divide degree 2" for n in (1, 2, 3, 6)
+        ]
