@@ -27,9 +27,11 @@ from .belyi import (
 )
 from .contract import (
     AlgebraicPointSet,
+    ContractionRejected,
     HeightCapExceeded,
     StrategyExhausted,
     contract_to_rational,
+    verify_contraction,
 )
 from .cover import rh_genus, standard_projection_profile, verify_certificate
 from .exact import BACKEND, Poly, check_prime
@@ -69,6 +71,10 @@ MAX_GENUS_INDEX = 10 ** 5
 # `belyi search` tries comb(box, k - 1) supports: near 10^5 a run takes
 # 1 s (k = 3) to 4.5 s (k = 6) on a 2-vCPU host
 MAX_BELYI_SUPPORTS = 10 ** 5
+# `belyi exponents` and `belyi verify` expand a k-term logarithmic
+# derivative numerator: k = 32 takes 0.2-0.35 s on a 2-vCPU host, and
+# k = 100 takes 7 s
+MAX_BELYI_SUPPORT_SIZE = 32
 
 
 class UsageError(ValueError):
@@ -106,6 +112,13 @@ def _parse_rationals(s: str) -> list:
         return [Fraction(x) for x in s.replace(",", " ").split()]
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"bad rational list {s!r}")
+
+
+def _parse_support(s: str) -> list:
+    support = _parse_rationals(s)
+    if len(support) > MAX_BELYI_SUPPORT_SIZE:
+        raise UsageError(f"support of size {len(support)} is above {MAX_BELYI_SUPPORT_SIZE}")
+    return support
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +274,7 @@ def _belyi_lines(payload: dict) -> list:
 
 
 def cmd_belyi_exponents(args) -> int:
-    support = _parse_rationals(args.support)
+    support = _parse_support(args.support)
     exps = vandermonde_exponents(support)
     t = BelyiTuple(support, exps)
     primes = _parse_primes(args.primes) if args.primes else None
@@ -279,7 +292,7 @@ def _parse_belyi_file(text: str):
     for ln in lines[1:]:
         key, _, rest = ln.partition(" ")
         if key == "support":
-            support = _parse_rationals(rest)
+            support = _parse_support(rest)
         elif key == "exponents":
             exponents = [int(x) for x in rest.split()]
         else:
@@ -348,7 +361,8 @@ def cmd_contract(args) -> int:
     S = AlgebraicPointSet.from_polys(polys)
     try:
         result = contract_to_rational(S, height_cap=args.height_cap)
-    except (StrategyExhausted, HeightCapExceeded) as exc:
+        verify_contraction(S, result, height_cap=args.height_cap)
+    except (StrategyExhausted, HeightCapExceeded, ContractionRejected) as exc:
         _emit({"passed": False, "error": str(exc)}, [str(exc)], args.json)
         return EXIT_FAIL
     payload = {
@@ -360,6 +374,7 @@ def cmd_contract(args) -> int:
                 "padding_roots": st.r,
                 "finite_index_bound": 2,
                 "index_at_infinity": st.product.degree,
+                "coeff_bits": st.coeff_bits,
             }
             for st in result.steps
         ],
@@ -372,7 +387,7 @@ def cmd_contract(args) -> int:
     for i, st in enumerate(result.steps, 1):
         lines.append(
             f"step {i}: eliminated degree {st.eliminated.degree}, "
-            f"indices (finite <= 2, infinity = 2^{st.k})"
+            f"indices (finite <= 2, infinity = 2^{st.k}), {st.coeff_bits}-bit coefficients"
         )
     lines.append(
         "index certificate: "

@@ -6,9 +6,12 @@ all finite local indices 2, whose composite sends every point to a
 rational point.  The trick in each step: multiply the worst minimal
 polynomial f (degree m) by a solved cofactor g of degree r = 2^k - m
 so that F = fg has critical points at chosen rational targets; roots
-of f all map to 0 under F.  When m = 2^j >= 4 and f' is squarefree,
-f itself already has this shape and the step takes F = f (r = 0, no
-targets); every other degree, quadratics included, uses the cofactor.
+of f all map to 0 under F.  When m = 2^j and f' is squarefree, f
+itself already has this shape and the step takes F = f (r = 0, no
+targets); quadratics always do.  The next set holds the images of the
+points and the critical values of F, never its critical points, which
+lie on the source line of F.  `verify_contraction` rechecks a finished
+contraction from its recorded maps alone.
 """
 
 from __future__ import annotations
@@ -40,6 +43,10 @@ class StrategyExhausted(RuntimeError):
 
 
 class HeightCapExceeded(RuntimeError):
+    pass
+
+
+class ContractionRejected(RuntimeError):
     pass
 
 
@@ -237,18 +244,19 @@ def _admissible_step(f: Poly, k: int, targets: list, height_cap: Optional[int]):
 def reduction_step(S: AlgebraicPointSet, height_cap: Optional[int] = None):
     """One round of the elimination: returns (ReductionStep, new set).
 
-    Picks a maximal-degree entry f.  If its degree m = 2^j is at least 4
+    Picks a maximal-degree entry f.  If its degree m is a power of 2
     and f' is squarefree, F = f passes the certificate as it stands and
-    the step has r = 0 and no targets.  Otherwise it slides a window of
-    r targets along `default_targets` and takes the first admissible
-    tuple (cofactor solvable, F' squarefree), trying at most RETRY_CAP.
-    The new set is F(S) together with the ramification data of F: the
-    targets, their images, and the factors of the remaining critical
-    cofactor with their images.  Only that cofactor is factored; the
-    image of an irreducible entry is the minimal polynomial of F(alpha)
-    and is taken as it is.  The degree-m count strictly drops: roots of
-    f go to the rational point 0.  F and each image polynomial are held
-    to `height_cap` as soon as they are built (HeightCapExceeded).
+    the step has r = 0 and no targets; every quadratic does.  Otherwise
+    it slides a window of r targets along `default_targets` and takes
+    the first admissible tuple (cofactor solvable, F' squarefree),
+    trying at most RETRY_CAP.  The new set is F(S) together with the
+    critical values of F: the images of the targets and of the factors
+    of the remaining critical cofactor.  Rational entries are carried
+    as they are.  Only that cofactor is factored; the image of an
+    irreducible entry is the minimal polynomial of F(alpha) and is
+    taken as it is.  The degree-m count strictly drops: roots of f go
+    to the rational point 0.  F and each image polynomial are held to
+    `height_cap` as soon as they are built (HeightCapExceeded).
     """
     m = S.max_degree()
     if m < 2:
@@ -257,9 +265,9 @@ def reduction_step(S: AlgebraicPointSet, height_cap: Optional[int] = None):
 
     step = None
     # F = f needs a 2-power degree and a squarefree f' (_check_step
-    # decides the latter); quadratics keep the doubled split and its
-    # certificate (2, 4)
-    if m >= 4 and m & (m - 1) == 0:
+    # decides the latter); every quadratic passes, with its one critical
+    # point -b/2 rational, and gets the certificate (2, 2)
+    if m & (m - 1) == 0:
         step = _admissible_step(f, m.bit_length() - 1, [], height_cap)
     if step is None:
         k, r = split_degree(m)
@@ -291,14 +299,14 @@ def reduction_step(S: AlgebraicPointSet, height_cap: Optional[int] = None):
     # rational points stay rational under every later map; carry them
     # along untouched instead of pushing them forward
     new_polys = [p if p.degree == 1 else image(p) for p in S.polys]
-    # ramification data: targets and the remaining critical cofactor, plus images
+    # critical values of F: the images of the targets and of the factors
+    # of the remaining critical cofactor; the critical points themselves
+    # lie on the source line of F and are not carried
     crit = F.derivative().monic()
     for x in step.targets:
         crit = crit // Poly(QQ, [-x, 1])
-        new_polys.append(Poly(QQ, [-x, 1]))
         new_polys.append(Poly(QQ, [-F(x), 1]))
     for q in _irreducible_factors(crit):
-        new_polys.append(q)
         new_polys.append(image(q))
     new_set = AlgebraicPointSet.from_irreducible(new_polys)
 
@@ -332,3 +340,77 @@ def contract_to_rational(
         steps.append(step)
         cert.append((2, step.product.degree))
     return ContractionResult(steps=steps, final_set=current, index_certificate=cert)
+
+
+def verify_contraction(
+    S: AlgebraicPointSet, result: ContractionResult, height_cap: Optional[int] = None
+) -> None:
+    """Recheck that result contracts S, from its recorded maps alone.
+
+    Builds no cofactor and replays no reduction step.  Each step map F
+    must have degree 2^k for the step's k, its certificate entry must
+    be (2, deg F), and F' must be squarefree of degree deg F - 1 and
+    vanish at the step's targets, so every finite local index is 1 or
+    2.  The tracked points are the entries of S and the critical values
+    of each F: F(x) at each target x, and the image of each irreducible
+    factor of F' made monic and divided exactly by z - x for each
+    target.  Each is pushed forward one map at a time by `_image_poly`;
+    the image of an irreducible polynomial is irreducible, so every
+    tracked polynomial stays irreducible.  A point is pushed until it
+    is rational; rational points are carried unchanged from then on, so
+    it must then be a final point.  A point still irrational after the
+    last map is rejected.  Every final point must be reached.  Each image is
+    held to `height_cap` as soon as it is built (HeightCapExceeded).
+    Raises ContractionRejected naming the first check that fails.
+    """
+    steps = result.steps
+    if len(result.index_certificate) != len(steps):
+        raise ContractionRejected("certificate and steps differ in length")
+    if any(p.degree != 1 for p in result.final_set.polys):
+        raise ContractionRejected("final set is not rational")
+    final = {p.coeffs for p in result.final_set.polys}
+    maps = []
+    tracked = [(0, p) for p in S.polys]  # (maps applied, irreducible polynomial)
+
+    def push(F: Poly, P: Poly) -> Poly:
+        P = _image_poly(F, P)
+        _capped_bits(P, height_cap)
+        return P
+
+    for i, (step, entry) in enumerate(zip(steps, result.index_certificate), 1):
+        F = step.product
+        d = F.degree
+        if step.k < 1 or d != 1 << step.k:
+            raise ContractionRejected(f"step {i}: deg F = {d} is not 2^k for k = {step.k}")
+        if tuple(entry) != (2, d):
+            raise ContractionRejected(f"step {i}: certificate entry {tuple(entry)} is not (2, {d})")
+        Fp = F.derivative()
+        if Fp.degree != d - 1 or not _is_squarefree_qq(Fp):
+            raise ContractionRejected(f"step {i}: F' is not squarefree of degree {d - 1}")
+        crit = Fp.monic()
+        for x in step.targets:
+            crit, rem = divmod(crit, Poly(QQ, [-x, 1]))
+            if rem:
+                raise ContractionRejected(f"step {i}: F' does not vanish at the target {x}")
+            tracked.append((i, Poly(QQ, [-F(x), 1])))
+        for q in _irreducible_factors(crit):
+            tracked.append((i, push(F, q)))
+        maps.append(F)
+
+    reached = set()
+    for stage, P in tracked:
+        # P is irreducible, its roots the tracked points after `stage` maps
+        while P.degree > 1:
+            if stage == len(maps):
+                raise ContractionRejected(f"points of degree {P.degree} are left after the last map")
+            P = push(maps[stage], P)
+            stage += 1
+        P = P.monic()
+        if P.coeffs not in final:
+            raise ContractionRejected(
+                f"the rational point {-P.coeffs[0]} after map {stage} is not a final point"
+            )
+        reached.add(P.coeffs)
+    missed = sorted(final - reached)
+    if missed:
+        raise ContractionRejected(f"the final point {-missed[0][0]} is reached by no tracked point")

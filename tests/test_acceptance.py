@@ -15,7 +15,7 @@ from ramcalc.belyi import (
     vandermonde_exponents,
     verify_belyi,
 )
-from ramcalc.contract import AlgebraicPointSet, contract_to_rational
+from ramcalc.contract import AlgebraicPointSet, contract_to_rational, verify_contraction
 from ramcalc.cover import (
     CoverProfile,
     compositum_profile,
@@ -202,6 +202,7 @@ def _run_contraction(polys):
     t0 = time.monotonic()
     S = AlgebraicPointSet.from_polys(polys)
     result = contract_to_rational(S)
+    verify_contraction(S, result)
     elapsed = time.monotonic() - t0
     ok = result.final_set.all_rational()
     measures = [S.measure()]

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, report rendering, byte stability."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import ramcalc
-from ramcalc import cli, contract
+from ramcalc import belyi, cli, contract
 from ramcalc.cli import main
 from ramcalc.manifest import bundled_text
 
@@ -271,6 +272,29 @@ class TestBelyi:
     def test_bench_boxes_far_under_the_cap(self):
         assert 10 * max(comb(30, 3), comb(20, 4)) < cli.MAX_BELYI_SUPPORTS
 
+    @pytest.mark.parametrize("sub", ["exponents", "verify"])
+    def test_support_above_the_cap_exits_two_without_expanding(self, capsys, monkeypatch,
+                                                              tmp_path, sub):
+        def refuse(*args):
+            raise AssertionError("the exponent or numerator work started")
+        monkeypatch.setattr(cli, "vandermonde_exponents", refuse)
+        monkeypatch.setattr(belyi, "dlog_numerator", refuse)
+        k = cli.MAX_BELYI_SUPPORT_SIZE + 1
+        support = " ".join(str(i * i) for i in range(k))
+        p = tmp_path / "tuple.belyi"
+        p.write_text(f"ramcalc-belyi 1\nsupport {support}\nexponents {' '.join(['1'] * k)}\n")
+        argv = {"exponents": [support], "verify": [str(p)]}[sub]
+        code, out, err = run(capsys, "belyi", sub, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: support of size {k} is above {cli.MAX_BELYI_SUPPORT_SIZE}\n"
+
+    def test_support_at_the_cap_runs(self, capsys):
+        support = ",".join(str(i * i) for i in range(cli.MAX_BELYI_SUPPORT_SIZE))
+        code, out, _ = run(capsys, "belyi", "exponents", support, "--json")
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+
 
 class TestClosedPipe:
     @pytest.mark.parametrize("unbuffered", [True, False])
@@ -330,9 +354,9 @@ class TestContract:
         ) == "0 False"
 
     def test_huge_final_points_print(self, capsys):
-        # the final points of Phi5 run past Python's default limit of
-        # 4300 digits for printing an integer
-        code, out, _ = run(capsys, "contract", "z^4+z^3+z^2+z+1", "--json")
+        # the final points of four cube roots run past Python's default
+        # limit of 4300 digits for printing an integer
+        code, out, _ = run(capsys, "contract", "z^3-2", "z^3-3", "z^3-5", "z^3-7", "--json")
         assert code == 0
         payload = json.loads(out)
         assert payload["passed"] is True
@@ -348,21 +372,69 @@ class TestContract:
         assert re.fullmatch(r"coefficient size \d+ bits exceeds cap 8", payload["error"])
 
     def test_step_limit_message(self, capsys, monkeypatch):
-        # z^3-2 needs three steps
+        # z^5-3 needs four steps
         monkeypatch.setattr(contract, "MAX_STEPS", 2)
-        code, out, _ = run(capsys, "contract", "z^3-2")
+        code, out, _ = run(capsys, "contract", "z^5-3")
         assert code == 1
         assert out == "points still not rational after 2 steps\n"
 
     def test_height_cap_holds_on_images(self, capsys):
-        # F of the stopping step fits under 2^16; an image it builds does
-        # not, and the run stops there instead of at the next F (374638 bits)
-        code, out, _ = run(capsys, "contract", "z^5-3", "--height-cap", "65536", "--json")
+        # every F of Phi7 fits under 2^16 (the largest, uncapped, has
+        # 54284 bits), so a cap checked on F alone lets the run finish;
+        # the last step builds an image of 79278 bits, and the run stops there
+        code, out, _ = run(capsys, "contract", "z^6+z^5+z^4+z^3+z^2+z+1",
+                           "--height-cap", "65536", "--json")
         assert code == 1
         payload = json.loads(out)
         bits = int(re.fullmatch(r"coefficient size (\d+) bits exceeds cap 65536",
                                 payload["error"]).group(1))
-        assert 65536 < bits < 374638
+        assert 65536 < bits <= 79278
+
+    def test_fifth_root_decides_under_the_bench_cap(self, capsys):
+        code, out, _ = run(capsys, "contract", "z^5-3", "--height-cap", "65536", "--json")
+        assert code == 0
+        assert max(st["coeff_bits"] for st in json.loads(out)["steps"]) <= 65536
+
+    def test_mixed_degrees_exit_zero(self, capsys):
+        code, out, _ = run(capsys, "contract", "z^2-1/3", "z^4+z+1", "--json")
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+
+    def test_rejected_recheck_exits_one(self, capsys, monkeypatch):
+        # a contraction that lost a final point is refused before any report
+        def dropped(S, height_cap=None):
+            result = contract.contract_to_rational(S, height_cap)
+            return dataclasses.replace(result, final_set=contract.AlgebraicPointSet(
+                result.final_set.polys[1:]))
+        monkeypatch.setattr(cli, "contract_to_rational", dropped)
+        code, out, _ = run(capsys, "contract", "z^3-2", "--json")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["passed"] is False
+        assert "final point" in payload["error"]
+
+    def test_height_cap_holds_on_the_recheck(self, capsys, monkeypatch):
+        # z^5-3 builds images of up to 1970 bits; with the contraction
+        # left uncapped, the recheck before exit 0 still holds to the cap
+        monkeypatch.setattr(cli, "contract_to_rational",
+                            lambda S, height_cap=None: contract.contract_to_rational(S))
+        code, out, _ = run(capsys, "contract", "z^5-3", "--height-cap", "1000", "--json")
+        assert code == 1
+        payload = json.loads(out)
+        assert re.fullmatch(r"coefficient size \d+ bits exceeds cap 1000", payload["error"])
+
+    def test_steps_report_coefficient_bits(self, capsys):
+        argv = ["contract", "z^3-2", "z^2-3"]
+        code, out, _ = run(capsys, *argv, "--json", "--deterministic")
+        assert code == 0
+        bits = [st["coeff_bits"] for st in json.loads(out)["steps"]]
+        assert len(bits) == 3 and all(b >= 1 for b in bits)
+        assert run(capsys, *argv, "--json", "--deterministic")[1] == out
+        code, out, _ = run(capsys, *argv)
+        step_lines = [ln for ln in out.splitlines() if ln.startswith("step ")]
+        assert [ln.rsplit(", ", 1)[1] for ln in step_lines] == [
+            f"{b}-bit coefficients" for b in bits
+        ]
 
     @pytest.mark.parametrize("cap", ["0", "-5"])
     def test_height_cap_below_one_exits_two(self, capsys, cap):

@@ -1,15 +1,21 @@
 """Contraction of algebraic point sets to rational points."""
 
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 
+from ramcalc import contract
 from ramcalc.contract import (
     AlgebraicPointSet,
+    ContractionRejected,
+    HeightCapExceeded,
     build_cofactor,
     contract_to_rational,
     reduction_step,
     split_degree,
+    verify_contraction,
 )
 from ramcalc.exact import QQ, Poly, _is_squarefree_qq, cyclotomic, squarefree_part
 
@@ -116,10 +122,12 @@ class TestContraction:
         assert degrees == [1, 1, 2]
 
     def test_quadratic_single_step(self):
+        # F = z^2 - 2 itself: one critical point 0, rational, of index 2
         S = AlgebraicPointSet.from_polys([Poly(QQ, [-2, 0, 1])])
         result = contract_to_rational(S)
         assert len(result.steps) == 1
-        assert result.index_certificate == [(2, 4)]
+        assert result.index_certificate == [(2, 2)]
+        assert result.steps[0].r == 0 and result.steps[0].targets == []
 
     def test_squarefree_power_of_two_degree_takes_f_itself(self):
         # Phi5' = 4z^3 + 3z^2 + 2z + 1 is squarefree: F = Phi5, no cofactor
@@ -136,3 +144,101 @@ class TestContraction:
         step, _ = reduction_step(S)
         assert step.r == 4
         assert step.product.degree == 8
+
+
+def _contract(*coeff_lists):
+    S = AlgebraicPointSet.from_polys([Poly(QQ, c) for c in coeff_lists])
+    return S, contract_to_rational(S)
+
+
+# z^3-2 and z^2-3; Phi5; z^3-2 and z^3-3
+MUTATED = [([-2, 0, 0, 1], [-3, 0, 1]), ([1, 1, 1, 1, 1],), ([-2, 0, 0, 1], [-3, 0, 0, 1])]
+
+
+class TestVerifyContraction:
+    def test_accepts_without_replaying_the_steps(self, monkeypatch):
+        S, result = _contract([-2, 0, 0, 1], [-3, 0, 1])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the recheck replayed the construction")
+        monkeypatch.setattr(contract, "reduction_step", refuse)
+        monkeypatch.setattr(contract, "build_cofactor", refuse)
+        verify_contraction(S, result)
+
+    def test_source_points_are_not_carried(self):
+        # z^2 - 2 has critical point 0 and critical value -2; the roots
+        # go to 0, so the final set is {0, -2} and holds no critical point
+        S, result = _contract([-2, 0, 1])
+        assert sorted(-p.coeffs[0] for p in result.final_set.polys) == [-2, 0]
+        verify_contraction(S, result)
+
+    def test_random_inputs_end_verified_or_capped(self):
+        rng = random.Random(12)
+        outcomes = {"verified": 0, "capped": 0}
+        for _ in range(40):
+            polys = [
+                Poly(QQ, [rng.randint(-4, 4) for _ in range(rng.randint(2, 5))] + [1])
+                for _ in range(rng.randint(1, 3))
+            ]
+            S = AlgebraicPointSet.from_polys(polys)
+            try:
+                result = contract_to_rational(S, height_cap=4096)
+            except HeightCapExceeded:
+                outcomes["capped"] += 1
+                continue
+            verify_contraction(S, result)
+            outcomes["verified"] += 1
+        assert outcomes["verified"] >= 10
+
+    @pytest.mark.parametrize("coeffs", MUTATED)
+    def test_dropping_a_final_point_is_rejected(self, coeffs):
+        S, result = _contract(*coeffs)
+        polys = result.final_set.polys
+        for j in range(len(polys)):
+            mutant = dataclasses.replace(
+                result, final_set=AlgebraicPointSet(polys[:j] + polys[j + 1:])
+            )
+            with pytest.raises(ContractionRejected):
+                verify_contraction(S, mutant)
+
+    @pytest.mark.parametrize("coeffs", MUTATED)
+    def test_changing_a_coefficient_of_F_is_rejected(self, coeffs):
+        S, result = _contract(*coeffs)
+        for i, step in enumerate(result.steps):
+            for j in range(len(step.product.coeffs)):
+                cs = list(step.product.coeffs)
+                cs[j] += 1
+                steps = list(result.steps)
+                steps[i] = dataclasses.replace(step, product=Poly(QQ, cs))
+                with pytest.raises(ContractionRejected):
+                    verify_contraction(S, dataclasses.replace(result, steps=steps))
+
+    def test_a_rational_critical_value_must_stay_final(self):
+        # F = z^4 + 2z^3 + 3z^2 - 4 has F' = 2z(2z^2 + 3z + 3): the
+        # rational critical point 0 sits beside two irrational ones, and
+        # its value -4 is carried unchanged by the next map, so a final
+        # set holding the image of -4 under that map instead is wrong
+        S, result = _contract([-4, 0, 3, 2, 1])
+        assert result.steps[0].targets == [] and len(result.steps) == 2
+        moved = Poly(QQ, [-result.steps[1].product(Fraction(-4)), 1])
+        polys = [p for p in result.final_set.polys if p != Poly(QQ, [4, 1])]
+        mutant = dataclasses.replace(
+            result, final_set=AlgebraicPointSet.from_polys(polys + [moved])
+        )
+        with pytest.raises(ContractionRejected, match="-4 after map 1 is not a final point"):
+            verify_contraction(S, mutant)
+
+    def test_height_cap_holds_on_the_recheck(self):
+        # the images of z^5-3 reach 1970 bits, in the contraction and in
+        # the recheck alike
+        S, result = _contract([-3, 0, 0, 0, 0, 1])
+        contract_to_rational(S, height_cap=1970)
+        verify_contraction(S, result, height_cap=1970)
+        with pytest.raises(HeightCapExceeded, match="exceeds cap 1969"):
+            verify_contraction(S, result, height_cap=1969)
+
+    def test_wrong_certificate_entry_is_rejected(self):
+        S, result = _contract([-2, 0, 0, 1])
+        cert = [(2, 2 * at_inf) for _, at_inf in result.index_certificate]
+        with pytest.raises(ContractionRejected, match="certificate entry"):
+            verify_contraction(S, dataclasses.replace(result, index_certificate=cert))
