@@ -620,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(func=cmd_belyi_search)
 
     p = sub.add_parser("contract", help="contract an algebraic point set to rational points")
-    p.add_argument("polys", nargs="+", help="minimal polynomials in z, e.g. 'z^3-2'")
+    p.add_argument("polys", nargs="+", help="polynomials in z whose roots are the points, e.g. 'z^3-2'")
     p.add_argument("--height-cap", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_contract)

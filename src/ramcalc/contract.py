@@ -1,17 +1,19 @@
 """Contract algebraic point sets on the line to rational points.
 
-Given a finite set of algebraic points (as minimal polynomials), build
-a composition of polynomial maps over Q, each of 2-power degree with
-all finite local indices 2, whose composite sends every point to a
-rational point.  The trick in each step: multiply the worst minimal
-polynomial f (degree m) by a solved cofactor g of degree r = 2^k - m
-so that F = fg has critical points at chosen rational targets; roots
-of f all map to 0 under F.  When m = 2^j and f' is squarefree, f
-itself already has this shape and the step takes F = f (r = 0, no
-targets); quadratics always do.  The next set holds the images of the
-points and the critical values of F, never its critical points, which
-lie on the source line of F.  `verify_contraction` rechecks a finished
-contraction from its recorded maps alone.
+Given a finite set of algebraic points (as squarefree polynomials over
+Q, never factored), build a composition of polynomial maps over Q, each
+of 2-power degree with all finite local indices 2, whose composite
+sends every point to a rational point.  The trick in each step:
+multiply an entry f of the largest degree m by a solved cofactor g of
+degree r = 2^k - m so that F = fg has critical points at chosen
+rational targets; roots of f all map to 0 under F.  When m = 2^j and
+f' is squarefree, f itself already has this shape and the step takes
+F = f (r = 0, no targets); quadratics always do.  The next set holds
+the images of the points and the critical values of F, never its
+critical points, which lie on the source line of F.  The termination
+measure drops for any squarefree entries, so irreducibility is never
+needed.  `verify_contraction` rechecks a finished contraction from its
+recorded maps alone.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .exact import (
     QQ,
     _image_poly,
     _is_squarefree_qq,
-    factor_qq,
     solve_linear_system,
     squarefree_part,
 )
@@ -52,10 +53,12 @@ class ContractionRejected(RuntimeError):
 
 @dataclass
 class AlgebraicPointSet:
-    """Monic irreducible rational polynomials.
+    """Monic squarefree rational polynomials, pairwise distinct.
 
-    Each polynomial stands for its full conjugacy class of points;
-    degree-1 entries are rational points.  Infinity is not tracked:
+    Each polynomial stands for its set of roots, a union of conjugacy
+    classes; degree-1 entries are rational points.  Two entries may
+    share a root: no gcd-free basis is kept, since the termination
+    measure drops for any squarefree entries.  Infinity is not tracked:
     every step map is a polynomial, which fixes it.
     """
 
@@ -72,13 +75,14 @@ class AlgebraicPointSet:
 
     @staticmethod
     def from_polys(polys: Iterable[Poly]) -> "AlgebraicPointSet":
-        """The set of roots of polys, split into irreducible entries."""
-        return AlgebraicPointSet.from_irreducible(q for p in polys for q in _irreducible_factors(p))
+        """The set of roots of polys: the squarefree part of each nonconstant
+        p is one entry."""
+        return AlgebraicPointSet.from_squarefree(q for q in map(squarefree_part, polys) if q.degree > 0)
 
     @staticmethod
-    def from_irreducible(polys: Iterable[Poly]) -> "AlgebraicPointSet":
-        """The set with the given monic irreducible entries, which are not
-        factored again: repeats dropped, sorted by (degree, coefficients)."""
+    def from_squarefree(polys: Iterable[Poly]) -> "AlgebraicPointSet":
+        """The set with the given monic squarefree entries, taken as they
+        are: repeats dropped, sorted by (degree, coefficients)."""
         out = {}
         for q in polys:
             out.setdefault(q.coeffs, q)
@@ -94,19 +98,6 @@ class AlgebraicPointSet:
 
     def all_rational(self) -> bool:
         return self.max_degree() <= 1
-
-
-def _irreducible_factors(p: Poly) -> list:
-    """Monic irreducible factors of the squarefree part of p over Q."""
-    p = squarefree_part(p)
-    if p.degree == 0:
-        return []
-    if p.degree == 1:
-        return [p]
-    factors = factor_qq(p)
-    if any(mult != 1 for _, mult in factors):
-        raise ArithmeticError("squarefree part has a repeated factor")
-    return [fac for fac, _ in factors]
 
 
 def split_degree(m: int):
@@ -250,12 +241,13 @@ def reduction_step(S: AlgebraicPointSet, height_cap: Optional[int] = None):
     it slides a window of r targets along `default_targets` and takes
     the first admissible tuple (cofactor solvable, F' squarefree),
     trying at most RETRY_CAP.  The new set is F(S) together with the
-    critical values of F: the images of the targets and of the factors
-    of the remaining critical cofactor.  Rational entries are carried
-    as they are.  Only that cofactor is factored; the image of an
-    irreducible entry is the minimal polynomial of F(alpha) and is
-    taken as it is.  The degree-m count strictly drops: roots of f go
-    to the rational point 0.  F and each image polynomial are held to
+    critical values of F: the images of the targets, and the image of
+    the remaining critical cofactor as one entry.  Rational entries are
+    carried as they are; every other entry is replaced by its image,
+    which `_image_poly` returns squarefree.  Nothing is factored.  The
+    degree-m count strictly drops: roots of f go to the rational point
+    0, no image has a higher degree than its source, and the cofactor
+    has degree m - 1.  F and each image polynomial are held to
     `height_cap` as soon as they are built (HeightCapExceeded).
     """
     m = S.max_degree()
@@ -299,16 +291,15 @@ def reduction_step(S: AlgebraicPointSet, height_cap: Optional[int] = None):
     # rational points stay rational under every later map; carry them
     # along untouched instead of pushing them forward
     new_polys = [p if p.degree == 1 else image(p) for p in S.polys]
-    # critical values of F: the images of the targets and of the factors
-    # of the remaining critical cofactor; the critical points themselves
-    # lie on the source line of F and are not carried
+    # critical values of F: the images of the targets and of the
+    # remaining critical cofactor; the critical points themselves lie on
+    # the source line of F and are not carried
     crit = F.derivative().monic()
     for x in step.targets:
         crit = crit // Poly(QQ, [-x, 1])
         new_polys.append(Poly(QQ, [-F(x), 1]))
-    for q in _irreducible_factors(crit):
-        new_polys.append(image(q))
-    new_set = AlgebraicPointSet.from_irreducible(new_polys)
+    new_polys.append(image(crit))
+    new_set = AlgebraicPointSet.from_squarefree(new_polys)
 
     old_measure, new_measure = S.measure(), new_set.measure()
     if not new_measure < old_measure:
@@ -351,17 +342,16 @@ def verify_contraction(
     must have degree 2^k for the step's k, its certificate entry must
     be (2, deg F), and F' must be squarefree of degree deg F - 1 and
     vanish at the step's targets, so every finite local index is 1 or
-    2.  The tracked points are the entries of S and the critical values
-    of each F: F(x) at each target x, and the image of each irreducible
-    factor of F' made monic and divided exactly by z - x for each
-    target.  Each is pushed forward one map at a time by `_image_poly`;
-    the image of an irreducible polynomial is irreducible, so every
-    tracked polynomial stays irreducible.  A point is pushed until it
-    is rational; rational points are carried unchanged from then on, so
-    it must then be a final point.  A point still irrational after the
-    last map is rejected.  Every final point must be reached.  Each image is
-    held to `height_cap` as soon as it is built (HeightCapExceeded).
-    Raises ContractionRejected naming the first check that fails.
+    2.  The tracked polynomials are the entries of S and the critical
+    values of each F: z - F(x) at each target x, and the image of F'
+    made monic and divided exactly by z - x for each target.  Each is
+    pushed forward one map at a time by `_image_poly`, whole, as
+    `reduction_step` pushes an entry, until it has degree 1; a rational
+    point is carried unchanged from then on, so it must then be a final
+    point.  A polynomial of degree above 1 after the last map is
+    rejected.  Every final point must be reached.  Each image is held
+    to `height_cap` as soon as it is built (HeightCapExceeded).  Raises
+    ContractionRejected naming the first check that fails.
     """
     steps = result.steps
     if len(result.index_certificate) != len(steps):
@@ -370,7 +360,7 @@ def verify_contraction(
         raise ContractionRejected("final set is not rational")
     final = {p.coeffs for p in result.final_set.polys}
     maps = []
-    tracked = [(0, p) for p in S.polys]  # (maps applied, irreducible polynomial)
+    tracked = [(0, p) for p in S.polys]  # (maps applied, squarefree polynomial)
 
     def push(F: Poly, P: Poly) -> Poly:
         P = _image_poly(F, P)
@@ -393,13 +383,12 @@ def verify_contraction(
             if rem:
                 raise ContractionRejected(f"step {i}: F' does not vanish at the target {x}")
             tracked.append((i, Poly(QQ, [-F(x), 1])))
-        for q in _irreducible_factors(crit):
-            tracked.append((i, push(F, q)))
+        tracked.append((i, push(F, crit)))
         maps.append(F)
 
     reached = set()
     for stage, P in tracked:
-        # P is irreducible, its roots the tracked points after `stage` maps
+        # the roots of P are the tracked points after `stage` maps
         while P.degree > 1:
             if stage == len(maps):
                 raise ContractionRejected(f"points of degree {P.degree} are left after the last map")

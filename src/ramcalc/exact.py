@@ -823,27 +823,8 @@ class NumberFieldElement:
 
 
 # ---------------------------------------------------------------------------
-# the only bridge to sympy: factoring over Q and Z, and irreducibility
-# over Q (small degrees)
-
-
-def _to_sympy(p: Poly):
-    """p as a sympy Poly in x over QQ."""
-    import sympy
-
-    coeffs = [sympy.Rational(int(c.numerator), int(c.denominator)) for c in reversed(p.coeffs)]
-    return sympy.Poly(coeffs, sympy.Symbol("x"), domain="QQ")
-
-
-def factor_qq(p: Poly) -> list:
-    """(monic irreducible factor, multiplicity) pairs of p over Q, in
-    sympy's order; sympy's factorization stays polynomial-time at
-    coefficient sizes where rational-root trial division does not."""
-    _, factors = _to_sympy(p).factor_list()
-    return [
-        (Poly(QQ, [Fraction(int(c.p), int(c.q)) for c in reversed(f.monic().all_coeffs())]), m)
-        for f, m in factors
-    ]
+# the only bridge to sympy: factoring over Z, and irreducibility over Q
+# (small degrees); `contract` and `verify` never reach it
 
 
 def factor_int(n: int) -> list:
@@ -865,7 +846,10 @@ def is_irreducible(p: Poly) -> bool:
         return True
     if p.degree > MAX_CHECKED_DEGREE:
         raise ValueError("degree above the irreducibility checking bound")
-    return _to_sympy(p).is_irreducible
+    import sympy
+
+    coeffs = [sympy.Rational(int(c.numerator), int(c.denominator)) for c in reversed(p.coeffs)]
+    return sympy.Poly(coeffs, sympy.Symbol("x"), domain="QQ").is_irreducible
 
 
 # ---------------------------------------------------------------------------

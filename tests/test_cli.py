@@ -348,10 +348,10 @@ class TestContract:
         assert code == 2
         assert out == "" and err.startswith("error:") and "above 64" in err
 
-    def test_linear_never_imports_sympy(self):
-        assert fresh_interpreter(
-            'print(cli.main(["contract", "z-5"]), "sympy" in sys.modules)'
-        ) == "0 False"
+    @pytest.mark.parametrize("polys", ["z-5", "z^3-2,z^2-3", "z^4-1"])
+    def test_contract_never_imports_sympy(self, polys):
+        argv = ["contract", *polys.split(",")]
+        assert fresh_interpreter(f'print(cli.main({argv!r}), "sympy" in sys.modules)') == "0 False"
 
     def test_huge_final_points_print(self, capsys):
         # the final points of four cube roots run past Python's default

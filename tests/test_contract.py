@@ -116,10 +116,19 @@ class TestContraction:
         assert result.steps == []
         assert result.composite_index_bound == 1
 
-    def test_irreducible_factorization_on_entry(self):
-        S = AlgebraicPointSet.from_polys([Poly(QQ, [-1, 0, 0, 0, 1])])  # z^4 - 1
-        degrees = sorted(p.degree for p in S.polys)
-        assert degrees == [1, 1, 2]
+    def test_squarefree_entries_are_not_factored(self):
+        z = Poly(QQ, [0, 1])
+        cases = [
+            # z^4 - 1 stays one entry of degree 4, rational roots and all
+            ([z ** 4 - 1], [z ** 4 - 1]),
+            ([(z ** 2 - 2) ** 2 * (z - 1)], [(z ** 2 - 2) * (z - 1)]),
+            # inputs with equal squarefree parts collapse to one entry
+            ([z ** 3 - 2, (z ** 3 - 2) * 2, (z ** 3 - 2) ** 2], [z ** 3 - 2]),
+        ]
+        for polys, entries in cases:
+            S = AlgebraicPointSet.from_polys(polys)
+            assert S.polys == entries
+            verify_contraction(S, contract_to_rational(S))
 
     def test_quadratic_single_step(self):
         # F = z^2 - 2 itself: one critical point 0, rational, of index 2
@@ -214,18 +223,23 @@ class TestVerifyContraction:
                     verify_contraction(S, dataclasses.replace(result, steps=steps))
 
     def test_a_rational_critical_value_must_stay_final(self):
-        # F = z^4 + 2z^3 + 3z^2 - 4 has F' = 2z(2z^2 + 3z + 3): the
-        # rational critical point 0 sits beside two irrational ones, and
-        # its value -4 is carried unchanged by the next map, so a final
-        # set holding the image of -4 under that map instead is wrong
-        S, result = _contract([-4, 0, 3, 2, 1])
-        assert result.steps[0].targets == [] and len(result.steps) == 2
-        moved = Poly(QQ, [-result.steps[1].product(Fraction(-4)), 1])
-        polys = [p for p in result.final_set.polys if p != Poly(QQ, [4, 1])]
+        # the first map of z^3-2, z^2-3 has the target 1, and its
+        # critical value -1/3 is a rational entry from map 1 on; the two
+        # later maps carry it unchanged, so a final set holding its
+        # image under map 2 instead is wrong
+        S, result = _contract([-2, 0, 0, 1], [-3, 0, 1])
+        first, second = result.steps[:2]
+        assert first.targets == [1] and len(result.steps) == 3
+        value = first.product(Fraction(1))
+        assert value == Fraction(-1, 3)
+        moved = Poly(QQ, [-second.product(value), 1])
+        polys = [p for p in result.final_set.polys if p != Poly(QQ, [-value, 1])]
+        assert len(polys) == len(result.final_set.polys) - 1
+        assert moved not in polys
         mutant = dataclasses.replace(
-            result, final_set=AlgebraicPointSet.from_polys(polys + [moved])
+            result, final_set=AlgebraicPointSet.from_squarefree(polys + [moved])
         )
-        with pytest.raises(ContractionRejected, match="-4 after map 1 is not a final point"):
+        with pytest.raises(ContractionRejected, match="-1/3 after map 1 is not a final point"):
             verify_contraction(S, mutant)
 
     def test_height_cap_holds_on_the_recheck(self):

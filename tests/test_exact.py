@@ -21,7 +21,6 @@ from ramcalc.exact import (
     _poly_gcd_degree_mod,
     cyclotomic,
     factor_over_primes,
-    factor_qq,
     is_irreducible,
     is_smooth,
     poly_gcd,
@@ -522,10 +521,3 @@ class TestSympyBridge:
                 if any(n == "sympy" or n.startswith("sympy.") for n in names):
                     importers.add(path.name)
         assert importers == {"exact.py"}
-
-    def test_factor_qq_monic_with_multiplicities(self):
-        z = Poly(QQ, [0, 1])
-        p = (z * 2 - 2) * (z + 2) ** 2 * (z ** 2 - 3)
-        assert sorted(factor_qq(p), key=lambda f: f[0].coeffs) == [
-            (Poly(QQ, [-3, 0, 1]), 1), (Poly(QQ, [-1, 1]), 1), (Poly(QQ, [2, 1]), 2),
-        ]
