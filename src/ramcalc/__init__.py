@@ -2,10 +2,11 @@
 
 Subpackages by role:
 
-- ``exact``: exact rationals, polynomials, resultants, cyclotomic
-  number fields, smoothness checks
-- ``rmap``: self-maps of the projective line, local indices,
-  ramification divisors, chain verification
+- ``exact``: exact rationals, polynomials over Q, resultants,
+  cyclotomic number fields for points, smoothness checks
+- ``rmap``: self-maps of the projective line defined over Q, local
+  indices at rational and number-field points, ramification divisors,
+  chain verification
 - ``belyi``: four-point product-form maps branched over {0, 1, inf}
 - ``cover``: branch-cover profiles, Riemann-Hurwitz genus, compositum
   profiles, parametrized diagram certificates

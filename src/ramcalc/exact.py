@@ -1,9 +1,11 @@
-"""Exact arithmetic substrate: rationals, univariate polynomials over a
-field, and number fields Q[a]/(p(a)).
+"""Exact arithmetic substrate: rationals, univariate polynomials over
+Q, and number fields Q[a]/(p(a)).
 
 Everything here is immutable and exact; no floating point anywhere.
 Polynomials store coefficients constant-term first with no trailing
-zeros, so the zero polynomial has an empty coefficient tuple.
+zeros, so the zero polynomial has an empty coefficient tuple.  Their
+coefficients are always rational; number fields hold the points a
+polynomial is evaluated at.
 """
 
 from __future__ import annotations
@@ -79,19 +81,21 @@ def _int_horner(ints, na: int, da: int) -> int:
 
 
 class Poly:
-    """Univariate polynomial over QQ or a NumberField.
+    """Univariate polynomial over QQ.
 
     Coefficients are stored constant term first.  All arithmetic keeps
-    canonical form (no trailing zero coefficients).
+    canonical form (no trailing zero coefficients).  A polynomial is
+    evaluated at rationals and at elements of a number field alike.
     """
 
-    __slots__ = ("field", "coeffs", "_intform")
+    __slots__ = ("coeffs", "_intform")
 
     def __init__(self, field, coeffs: Iterable):
-        cs = [field.coerce(c) for c in coeffs]
+        if not isinstance(field, RationalField):
+            raise TypeError(f"polynomials are over QQ, not {field!r}")
+        cs = [QQ.coerce(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "_intform", None)
 
@@ -129,20 +133,21 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash(self.coeffs)
 
     # -- arithmetic ----------------------------------------------------
 
-    def _wrap(self, coeffs):
-        return Poly(self.field, coeffs)
+    @staticmethod
+    def _wrap(coeffs):
+        return Poly(QQ, coeffs)
 
     def __add__(self, other):
         other = self._coerce_poly(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        z = self.field.zero
+        z = QQ.zero
         a = list(self.coeffs) + [z] * (n - len(self.coeffs))
         b = list(other.coeffs) + [z] * (n - len(other.coeffs))
         return self._wrap([x + y for x, y in zip(a, b)])
@@ -163,7 +168,7 @@ class Poly:
         other = self._coerce_poly(other)
         if self.is_zero() or other.is_zero():
             return self._wrap([])
-        z = self.field.zero
+        z = QQ.zero
         out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
@@ -178,7 +183,7 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = self._wrap([self.field.one])
+        result = self._wrap([1])
         base = self
         while n:
             if n & 1:
@@ -191,15 +196,14 @@ class Poly:
         other = self._coerce_poly(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        z = self.field.zero
         rem = list(self.coeffs)
         dq = len(self.coeffs) - len(other.coeffs)
         if dq < 0:
             return self._wrap([]), self
-        quot = [z] * (dq + 1)
+        quot = [QQ.zero] * (dq + 1)
         # one inverse of the leading coefficient serves the whole loop;
         # a monic divisor needs none
-        inv_lc = None if other.lc == 1 else self.field.one / other.lc
+        inv_lc = None if other.lc == 1 else 1 / other.lc
         for i in range(dq, -1, -1):
             top = rem[i + other.degree]
             if not top:
@@ -218,44 +222,45 @@ class Poly:
 
     def _coerce_poly(self, v) -> "Poly":
         if isinstance(v, Poly):
-            if v.field != self.field:
-                raise TypeError("polynomials over different fields")
             return v
-        return Poly(self.field, [self.field.coerce(v)])
+        return Poly(QQ, [v])
 
     # -- calculus and evaluation --------------------------------------
 
     def int_form(self):
-        """Cached (integer coefficients, common denominator) over Q."""
+        """Cached (integer coefficients, common denominator)."""
         if self._intform is None:
             ints, denom = _int_vector(self.coeffs)
             object.__setattr__(self, "_intform", (tuple(ints), int(denom)))
         return self._intform
 
     def __call__(self, x):
-        x = self.field.coerce(x)
-        if isinstance(self.field, RationalField):
-            if self.is_zero():
-                return self.field.zero
-            # integer Horner with one reduction at the end: far cheaper
-            # than per-step gcd normalization once coefficients are huge
-            ints, denom = self.int_form()
-            na, da = int(x.numerator), int(x.denominator)
-            return RAT(_int_horner(ints, na, da), denom * da ** self.degree)
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """p(x) at a rational x, or at an element x of a number field.
+        An element with a rational value is evaluated as that rational
+        and gives a rational."""
+        x = _as_point(x)
+        if isinstance(x, NumberFieldElement):
+            acc = x.field.zero
+            for c in reversed(self.coeffs):
+                acc = acc * x + c
+            return acc
+        if self.is_zero():
+            return QQ.zero
+        # integer Horner with one reduction at the end: far cheaper
+        # than per-step gcd normalization once coefficients are huge
+        ints, denom = self.int_form()
+        na, da = int(x.numerator), int(x.denominator)
+        return RAT(_int_horner(ints, na, da), denom * da ** self.degree)
 
     def evaluates_to_zero(self, x) -> bool:
         """Whether p(x) = 0, skipping the final normalization over Q."""
+        x = _as_point(x)
+        if isinstance(x, NumberFieldElement):
+            return not self(x)
         if self.is_zero():
             return True
-        if isinstance(self.field, RationalField):
-            x = self.field.coerce(x)
-            ints, _ = self.int_form()
-            return _int_horner(ints, int(x.numerator), int(x.denominator)) == 0
-        return not self(x)
+        ints, _ = self.int_form()
+        return _int_horner(ints, int(x.numerator), int(x.denominator)) == 0
 
     def derivative(self) -> "Poly":
         return self._wrap([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -266,59 +271,28 @@ class Poly:
         lc = self.lc
         if lc == 1:
             return self
-        inv = self.field.one / lc
+        inv = 1 / lc
         return self._wrap([c * inv for c in self.coeffs])
-
-    def compose(self, inner: "Poly") -> "Poly":
-        acc = Poly(self.field, [])
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly(self.field, [c])
-        return acc
 
     def reversed(self, at_degree: int | None = None) -> "Poly":
         """Coefficients reversed, i.e. z^d * p(1/z) for d = at_degree."""
         d = self.degree if at_degree is None else at_degree
         if d < self.degree:
             raise ValueError("reversal degree below actual degree")
-        z = self.field.zero
-        padded = list(self.coeffs) + [z] * (d + 1 - len(self.coeffs))
+        padded = list(self.coeffs) + [QQ.zero] * (d + 1 - len(self.coeffs))
         return self._wrap(padded[::-1])
 
     def vanishing_order(self, x) -> int:
-        """Multiplicity of x as a root (0 if not a root)."""
+        """Multiplicity of x as a root (0 if not a root): the least j with
+        p^(j)(x) != 0, which needs no exact division."""
         if self.is_zero():
             raise ValueError("zero polynomial vanishes everywhere")
-        if isinstance(self.field, RationalField):
-            # derivative criterion: avoids repeated exact division,
-            # which is slow once coefficients are large
-            p = self
-            order = 0
-            while order <= self.degree:
-                if not p.evaluates_to_zero(x):
-                    return order
-                order += 1
-                p = p.derivative()
-            raise AssertionError("unreachable for a nonzero polynomial")
-        x = self.field.coerce(x)
-        q = _rational_part(self)
-        if q is not None and x.is_rational():
-            # the multiplicity does not depend on the field it is taken in
-            return q.vanishing_order(x.as_rational())
-        # synthetic division by z - x in place: after the sweep cs[0] is
-        # the remainder and cs[1:] the quotient
-        cs = list(self.coeffs)
+        p = self
         order = 0
-        while True:
-            for i in range(len(cs) - 2, -1, -1):
-                cs[i] = cs[i] + cs[i + 1] * x
-            if cs[0]:
-                return order
+        while p.evaluates_to_zero(x):
             order += 1
-            del cs[0]
-
-    def map_field(self, field) -> "Poly":
-        """Reinterpret the coefficients in another field."""
-        return Poly(field, [field.coerce(c) for c in self.coeffs])
+            p = p.derivative()
+        return order
 
     def __repr__(self):
         if self.is_zero():
@@ -334,6 +308,14 @@ class Poly:
             else:
                 terms.append(f"({c})*z^{i}")
         return "Poly(" + " + ".join(terms) + ")"
+
+
+def _as_point(x):
+    """x as a rational, or x itself when it is an irrational element of a
+    number field."""
+    if isinstance(x, NumberFieldElement):
+        return x.as_rational() if x.is_rational() else x
+    return QQ.coerce(x)
 
 
 # ---------------------------------------------------------------------------
@@ -435,35 +417,13 @@ def _is_squarefree_qq(p: Poly) -> bool:
     return len(_gcd_zz(ints, [i * c for i, c in enumerate(ints)][1:])) == 1
 
 
-def _rational_part(p: Poly):
-    """p as a polynomial over Q when every coefficient is rational, else None."""
-    if isinstance(p.field, RationalField):
-        return p
-    if all(c.is_rational() for c in p.coeffs):
-        return Poly(QQ, [c.coeffs[0] for c in p.coeffs])
-    return None
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd; gcd(0, 0) = 0.
-
-    Over Q by the integer kernel `_gcd_zz`.  Over a number field K a
-    pair with every coefficient in Q takes the same route, since their
-    gcd over K is their gcd over Q; other pairs use the Euclidean
-    algorithm in K.
-    """
-    if a.field != b.field:
-        raise TypeError("polynomials over different fields")
+    """Monic gcd; gcd(0, 0) = 0.  By the integer kernel `_gcd_zz`."""
     if a.is_zero() or b.is_zero():
         return b.monic() if a.is_zero() else a.monic()
-    qa, qb = _rational_part(a), _rational_part(b)
-    if qa is not None and qb is not None:
-        g = _gcd_zz(qa.int_form()[0], qb.int_form()[0])
-        lc = g[-1]
-        return Poly(a.field, [RAT(c, lc) for c in g])
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    g = _gcd_zz(a.int_form()[0], b.int_form()[0])
+    lc = g[-1]
+    return Poly(QQ, [RAT(c, lc) for c in g])
 
 
 def squarefree_part(a: Poly) -> Poly:
@@ -477,37 +437,34 @@ def squarefree_part(a: Poly) -> Poly:
 
 
 def _inverse_mod(a: Poly, m: Poly) -> Poly:
-    """b with a b = 1 mod m, by the extended Euclidean algorithm over the
-    field of m; ZeroDivisionError when a is not a unit mod m."""
-    field = m.field
+    """b with a b = 1 mod m, by the extended Euclidean algorithm over Q;
+    ZeroDivisionError when a is not a unit mod m."""
     r0, r1 = a, m
-    s0, s1 = Poly(field, [1]), Poly(field, [])
+    s0, s1 = Poly(QQ, [1]), Poly(QQ, [])
     while not r1.is_zero():
         q, r = divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
     if r0.degree != 0:
         raise ZeroDivisionError("not a unit modulo the given polynomial")
-    return s0 * Poly(field, [field.one / r0.coeffs[0]])
+    return s0 * (1 / r0.coeffs[0])
 
 
 def resultant(a: Poly, b: Poly):
     """Res(a, b) = lc(a)^deg(b) * prod b(alpha) over the roots alpha of a,
-    by the Euclidean remainder recurrence over the field of a (Q or a
-    number field)."""
+    by the Euclidean remainder recurrence over Q."""
     if a.is_zero() or b.is_zero():
         raise ValueError("resultant of a zero polynomial")
-    field = a.field
-    acc = field.one
+    acc = QQ.one
     sign = 1
     while True:
         if b.degree == 0:
-            return acc * (1 if sign > 0 else -1) * b.lc ** a.degree
+            return acc * sign * b.lc ** a.degree
         if a.degree == 0:
-            return acc * (1 if sign > 0 else -1) * a.lc ** b.degree
+            return acc * sign * a.lc ** b.degree
         r = a % b
         if r.is_zero():
-            return field.zero
+            return QQ.zero
         if (a.degree * b.degree) % 2:
             sign = -sign
         acc = acc * b.lc ** (a.degree - r.degree)
@@ -517,10 +474,9 @@ def resultant(a: Poly, b: Poly):
 def _image_poly(F: Poly, s: Poly) -> Poly:
     """Squarefree monic polynomial vanishing exactly on F(roots of s).
 
-    Works over any field of characteristic 0 (Q or a number field) and
-    locates no root.  For s squarefree of degree k, prod (y - F(alpha))
+    Locates no root.  For s squarefree of degree k, prod (y - F(alpha))
     over the roots alpha of s is the characteristic polynomial of
-    multiplication by F on K[z]/(s); no matrix is built for it.  Newton's
+    multiplication by F on Q[z]/(s); no matrix is built for it.  Newton's
     identities give the power sums Tr(z^i) of the roots from the
     coefficients of s; the traces p_j = Tr(F^j mod s) are linear in
     those; and Newton's identities, dividing by 1..k, turn p_1..p_k into
@@ -528,32 +484,31 @@ def _image_poly(F: Poly, s: Poly) -> Poly:
     an irreducible s the characteristic polynomial is a power of the
     minimal polynomial of F(alpha), so the result is irreducible.
     """
-    field = s.field
     s = squarefree_part(s)
     k = s.degree
     if k == 0:
         raise ValueError("image of an empty point set")
     a = s.coeffs
     # Tr(z^i) + a_{k-1} Tr(z^(i-1)) + ... + a_{k-i+1} Tr(z) + i a_{k-i} = 0
-    traces = [field.coerce(k)]
+    traces = [RAT(k)]
     for i in range(1, k):
         acc = a[k - i] * i
         for j in range(1, i):
             acc = acc + a[k - j] * traces[i - j]
         traces.append(-acc)
     rbar = F % s
-    power = Poly(field, [1])
+    power = Poly(QQ, [1])
     p = [None]
-    coeffs = [field.one]  # of y^k down to y^0
+    coeffs = [QQ.one]  # of y^k down to y^0
     for m in range(1, k + 1):
         power = power * rbar % s
-        p.append(sum((c * t for c, t in zip(power.coeffs, traces)), field.zero))
+        p.append(sum((c * t for c, t in zip(power.coeffs, traces)), QQ.zero))
         # p_m + c_1 p_(m-1) + ... + c_(m-1) p_1 + m c_m = 0
         acc = p[m]
         for j in range(1, m):
             acc = acc + coeffs[j] * p[m - j]
         coeffs.append(acc * RAT(-1, m))
-    return squarefree_part(Poly(field, coeffs[::-1]))
+    return squarefree_part(Poly(QQ, coeffs[::-1]))
 
 
 def cyclotomic(n: int) -> Poly:
@@ -635,8 +590,6 @@ class NumberField:
             raise ValueError("defining polynomial is reducible over Q")
 
     def _setup(self, minpoly: Poly, name: str):
-        if minpoly.field != QQ:
-            raise TypeError("defining polynomial must be over QQ")
         if minpoly.degree < 1:
             raise ValueError("defining polynomial must be nonconstant")
         if minpoly.lc != 1:
@@ -838,8 +791,6 @@ def is_irreducible(p: Poly) -> bool:
     """Irreducibility over Q for degree <= 8; delegates to sympy's
     rational factorization (stdlib-free exact methods cover this fine,
     but sympy's is battle tested)."""
-    if p.field != QQ:
-        raise TypeError("irreducibility check is over QQ")
     if p.degree < 1:
         return False
     if p.degree == 1:

@@ -3,10 +3,11 @@
 Chains: a base field, a starting branch set with indices, and a list
 of steps (explicit rational map, degree-1 automorphism, or a
 product-form step given by support and exponents), each with claimed
-ramification data and claimed output set.  Certificates: nodes,
+ramification data and claimed output set.  Every map is over Q, so its
+num and den coefficients are rationals; points are rationals or, in a
+cyclotomic chain, expressions in the generator t.  Certificates: nodes,
 parametrized arrows, and an ordered claim list for the diagram
-checker.  All numbers are exact decimal strings; number-field elements
-are expressions in the generator t.
+checker.  All numbers are exact decimal strings.
 """
 
 from __future__ import annotations
@@ -260,11 +261,17 @@ def render_chain(m: ChainManifest) -> str:
 _STEP_KEYS = ("support", "exponents", "num", "den", "ram", "out")
 
 
-def _parse_coeffs(field, rest: str) -> list:
-    coeffs = [parse_point(field, c) for c in rest.split()]
+def _parse_coeffs(rest: str) -> Poly:
+    """A num or den line: rational coefficients, constant term first."""
+    coeffs = []
+    for c in rest.split():
+        try:
+            coeffs.append(parse_point(QQ, c))
+        except ManifestError as exc:
+            raise ManifestError(f"map coefficient {c!r} is not rational: {exc}") from None
     if any(is_inf(c) for c in coeffs):
         raise ManifestError("inf is not a coefficient")
-    return coeffs
+    return Poly(QQ, coeffs)
 
 
 def parse_chain(text: str) -> ChainManifest:
@@ -290,7 +297,7 @@ def parse_chain(text: str) -> ChainManifest:
                 raise ManifestError(f"step {current.name}: missing num/den")
         steps.append(current)
 
-    num_coeffs = None
+    num = None
     for ln in lines[1:]:
         key, _, rest = ln.partition(" ")
         if key == "name":
@@ -322,7 +329,7 @@ def parse_chain(text: str) -> ChainManifest:
             if len(parts) != 2 or parts[1] not in ("map", "auto", "belyi"):
                 raise ManifestError(f"bad step line {ln!r}")
             current = ChainStep(name=parts[0], kind=parts[1])
-            num_coeffs = None
+            num = None
         elif key in _STEP_KEYS and current is None:
             raise ManifestError(f"{key} line outside a step")
         elif key == "support":
@@ -333,12 +340,12 @@ def parse_chain(text: str) -> ChainManifest:
         elif key == "exponents":
             current.exponents = tuple(int(r) for r in rest.split())
         elif key == "num":
-            num_coeffs = _parse_coeffs(field, rest)
+            num = _parse_coeffs(rest)
         elif key == "den":
-            den_coeffs = _parse_coeffs(field, rest)
-            if num_coeffs is None:
+            den = _parse_coeffs(rest)
+            if num is None:
                 raise ManifestError(f"step {current.name}: den before num")
-            current.map = RationalMap(Poly(field, num_coeffs), Poly(field, den_coeffs))
+            current.map = RationalMap(num, den)
         elif key == "ram":
             for item in rest.split():
                 p, _, i = item.rpartition(":")

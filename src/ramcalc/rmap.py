@@ -1,8 +1,8 @@
 """Exact calculus of rational self-maps of the projective line.
 
-Maps are pairs of coprime polynomials over a field (QQ or a number
-field).  Points live on the projective line: either a finite field
-element or the point at infinity.  All computations are exact.
+Maps are pairs of coprime polynomials over Q.  Points live on the
+projective line over Q or a number field K: either a rational, an
+element of K, or the point at infinity.  All computations are exact.
 """
 
 from __future__ import annotations
@@ -77,8 +77,6 @@ class RationalMap:
     """P/Q with gcd(P, Q) = 1 and Q monic, as a morphism of the line."""
 
     def __init__(self, numerator: Poly, denominator: Poly):
-        if numerator.field != denominator.field:
-            raise TypeError("numerator and denominator over different fields")
         if denominator.is_zero():
             raise ValueError("zero denominator")
         if denominator.degree > 0:
@@ -88,16 +86,12 @@ class RationalMap:
                 denominator = denominator // g
         lc = denominator.lc
         if lc != 1:
-            numerator = numerator * Poly(numerator.field, [numerator.field.one / lc])
+            numerator = numerator * (1 / lc)
             denominator = denominator.monic()
         self.num = numerator
         self.den = denominator
         if self.degree < 1:
             raise ValueError("constant map is not a morphism of the line")
-
-    @property
-    def field(self):
-        return self.num.field
 
     @property
     def degree(self) -> int:
@@ -117,15 +111,15 @@ class RationalMap:
         return self.eval(x)
 
     def eval(self, x):
-        """Value at a projective point; total on the line."""
+        """Value at a projective point; total on the line.  A point with
+        a rational value has a rational image."""
         if is_inf(x):
             dn, dd = self.num.degree, self.den.degree
             if dn > dd:
                 return INF
             if dn < dd:
-                return self.field.zero
+                return QQ.zero
             return self.num.lc / self.den.lc
-        x = self.field.coerce(x)
         q = self.den(x)
         if not q:
             return INF
@@ -134,7 +128,13 @@ class RationalMap:
     # -- structure -----------------------------------------------------
 
     def local_index(self, x) -> int:
-        """Multiplicity of x as a solution of f(z) = f(x)."""
+        """Multiplicity of x as a solution of f(z) = f(x).
+
+        At a finite x with Q(x) != 0 this is the least j >= 1 with
+        Q(x) P^(j)(x) != P(x) Q^(j)(x): that difference is the j-th
+        derivative at x of P Q(x) - Q P(x), which is Q(x) (P - f(x) Q),
+        so no product is expanded and nothing is divided.
+        """
         if is_inf(x):
             if self.den.degree == 0 and self.num.degree > 0:
                 # polynomial map: infinity is totally ramified over itself
@@ -144,13 +144,20 @@ class RationalMap:
             num_r = self.num.reversed(d)
             den_r = self.den.reversed(d)
             g = RationalMap(num_r, den_r)
-            return g.local_index(self.field.zero)
-        x = self.field.coerce(x)
+            return g.local_index(QQ.zero)
         q = self.den(x)
         if not q:
             return self.den.vanishing_order(x)
-        # P Q(x) - Q P(x) is Q(x) (P - f(x) Q): the same order, no division
-        return (self.num * q - self.den * self.num(x)).vanishing_order(x)
+        p = self.num(x)
+        num, den = self.num, self.den
+        j = 0
+        # P Q(x) - Q P(x) is a nonzero polynomial of degree at most
+        # deg f that vanishes at x, so the loop ends by j = deg f
+        while True:
+            j += 1
+            num, den = num.derivative(), den.derivative()
+            if q * num(x) != p * den(x):
+                return j
 
     # -- ramification --------------------------------------------------
 
@@ -228,6 +235,12 @@ def verify_chain(manifest) -> ChainReport:
     still moves them.
     """
     field = manifest.field
+
+    def coerce(pt):
+        # a point with a rational value has a rational image; every
+        # tracked point is held in the chain's field
+        return pt if is_inf(pt) else field.coerce(pt)
+
     tracked: dict = {}
     for pt, idx in manifest.start:
         tracked.setdefault(_point_key(pt), [pt, set()])[1].add(idx)
@@ -236,14 +249,14 @@ def verify_chain(manifest) -> ChainReport:
         rep = ChainStepReport(name=step.name, status="pass")
         try:
             if step.kind == "belyi":
-                move, branch, note = _belyi_step(field, step)
+                move, branch, note = _belyi_step(step)
             else:
                 move, branch, note = _map_step(step)
             pushed = []
             for pt, idxs in tracked.values():
                 img, e = move(pt)
-                pushed.append((img, {a * e for a in idxs}))
-            pushed += [(img, {e}) for img, e in branch]
+                pushed.append((coerce(img), {a * e for a in idxs}))
+            pushed += [(coerce(img), {e}) for img, e in branch]
             new_tracked: dict = {}
             for img, indices in pushed:
                 new_tracked.setdefault(_point_key(img), [img, set()])[1].update(indices)
@@ -306,7 +319,7 @@ def _map_step(step):
     return move, [(f.eval(rp.point), rp.index) for rp in claimed], None
 
 
-def _belyi_step(field, step):
+def _belyi_step(step):
     """(move, branch images, note) of a belyi-form step, which is
     verified in closed form and never expanded."""
     from .belyi import BelyiTuple, verify_belyi, NotBelyiForm
@@ -321,7 +334,7 @@ def _belyi_step(field, step):
 
     def move(pt):
         if is_inf(pt):
-            return field.one, k - 1
+            return QQ.one, k - 1
         if isinstance(pt, NumberFieldElement):
             if not pt.is_rational():
                 raise VerificationError(
@@ -334,9 +347,9 @@ def _belyi_step(field, step):
                 f"step {step.name}: tracked point {pt!r} outside the belyi support"
             )
         if r > 0:
-            return field.zero, r
+            return QQ.zero, r
         return INF, -r
 
-    branch = [(field.zero if r > 0 else INF, abs(r)) for r in t.exponents]
-    branch.append((field.one, k - 1))
+    branch = [(QQ.zero if r > 0 else INF, abs(r)) for r in t.exponents]
+    branch.append((QQ.one, k - 1))
     return move, branch, f"belyi-form step of degree {verification.degree} (not expanded)"

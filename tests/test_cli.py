@@ -184,6 +184,60 @@ print(len(paths), codes.count(0), "sympy" in sys.modules)
         payload = json.loads(out1)
         assert payload["passed"] is True
 
+    # (artifact, exit code, sha256 of the human report, sha256 of the
+    # --json --deterministic report), recorded at commit 946b6e7
+    PINNED_REPORTS = [
+        ("prop9.chain", 0,
+         "6362b2d92991985c592cf2eb915203bff426bc8117aab234a47fe5aee817000d",
+         "46936bcc17eb7f1d1ab9b52e45f45d7f5b0137b05f2af111728879baf83db885"),
+        ("prop12.chain", 0,
+         "cef32c4072b23185ac34f71770fe39b6b055a9233d84d967133a994e9ee5bedb",
+         "87906354c9ecfb23ea0c727fe8344bcb9d19b783ded6160acc3da8634eaa3faf"),
+        ("prop14.chain", 0,
+         "521359047f9c5645fba193b269e55d97c41ac03da2df0189eeb4ef1e3757c8ae",
+         "f5c62554273dcc6fbb4aa4ed0f63dad2fc764beed2cf345c3fb1fa4e9b5d98b6"),
+        ("prop6.cert", 0,
+         "d78bcd77bd22ae86fedc80cfc8bae2040c8c940d709bfab510ac976a26f7900c",
+         "5665fdf7b390190e6754781a39c8b8a10854ebdacd4aedb0776a932c4c77ae62"),
+        ("prop7a.cert", 0,
+         "ce076a55a2efeb4172a7dbfa93ea0d306a2c6cea290d119b158d21f6937bfbe1",
+         "444ac397eb0a73435dbd52b6a0615ee8c4a0cb5c22adf305307858215e40265e"),
+        ("prop7b.cert", 0,
+         "de0ff7a308e8efc89282663601bd333e94ea8cb7f32b44681c6d6fec856eb106",
+         "3ae39a0abc5144f54f59c7b585e5e03fe2135fb27c7d952bca8d26f72ebaebcd"),
+        ("prop10.cert", 0,
+         "9f4a54b349f045cbf713e20835a42632f96d0fdc653ff3803fbc2f2342f61d41",
+         "f8c82ec73e750c2ad969f7981cdd349cd077ffad9ba0c700534a41bae3c74562"),
+        ("prop13.cert", 0,
+         "c1619ec2eb21c57a19c0534401d588193d7c9e7309c4418a959ea3478c745691",
+         "56ff5014a62965d21e40ac93b087818c64ed0b0b24b3993b26bdf9475d001bea"),
+        ("thm30.cert", 0,
+         "78e6eb1135c7dd30834d9a67e48e3c29a8c7a7b36246afd2d648c32d02208a24",
+         "db8c930de6e76069cc12d6df311899dfe5fb9e484c3a56519102d2c0761cb53e"),
+        ("thm32.cert", 0,
+         "6418ec561def31b7628d21255dce4bcdb6601bb2d13e557decb211f74032d2bd",
+         "99c414773384b4d8946a10be906eac84fa55f0cee5a7231943d468b3f1f5753d"),
+    ]
+
+    @pytest.mark.parametrize("name, code, human, det", PINNED_REPORTS,
+                             ids=[row[0] for row in PINNED_REPORTS])
+    def test_reports_match_pinned_bytes(self, capsys, tmp_path, name, code, human, det):
+        p = tmp_path / name
+        p.write_text(bundled_text(name))
+        for flags, digest in (((), human), (("--json", "--deterministic"), det)):
+            got, out, err = run(capsys, "verify", str(p), *flags)
+            assert (got, err) == (code, "")
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, flags
+
+    def test_irrational_map_coefficient_exits_two(self, capsys, tmp_path):
+        text = bundled_text("prop12.chain")
+        assert "num 1 0 1\n" in text
+        p = tmp_path / "irrational.chain"
+        p.write_text(text.replace("num 1 0 1\n", "num t 1\n"))
+        code, out, err = run(capsys, "verify", str(p))
+        assert code == 2
+        assert out == "" and err == "error: map coefficient 't' is not rational: unexpected token 't'\n"
+
 
 class TestVersion:
     def test_version_names_backend(self, capsys):

@@ -28,6 +28,7 @@ from ramcalc.exact import (
     solve_linear_system,
     squarefree_part,
 )
+from ramcalc.rmap import RationalMap
 
 small_rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=6
@@ -83,11 +84,6 @@ class TestPolyArithmetic:
     def test_derivative(self):
         p = Poly(QQ, [1, 2, 3])
         assert p.derivative() == Poly(QQ, [2, 6])
-
-    def test_compose(self):
-        p = Poly(QQ, [0, 0, 1])  # z^2
-        q = Poly(QQ, [1, 1])  # z + 1
-        assert p.compose(q) == Poly(QQ, [1, 2, 1])
 
 
 class TestGcdAndSquarefree:
@@ -163,19 +159,6 @@ class TestIntegerGcdKernel:
         shared = Poly(QQ, [Fraction(1, 3), 2, 1])
         assert poly_gcd(z * shared, Poly(QQ, [-n, 1]) * shared) == shared.monic()
 
-    def test_number_field_pair_outside_q(self):
-        K = NumberField.cyclotomic_field(5)
-        t = K.gen
-        a = Poly(K, [-t, 1]) * Poly(K, [-1, 1])
-        b = Poly(K, [-t, 1]) * Poly(K, [1, 1])
-        assert poly_gcd(a, b) == Poly(K, [-t, 1])
-
-    def test_number_field_pair_inside_q_matches_q(self):
-        K = NumberField.cyclotomic_field(5)
-        a = Poly.from_roots(QQ, [1, 2, Fraction(1, 2)])
-        b = Poly.from_roots(QQ, [2, Fraction(1, 2), 7])
-        assert poly_gcd(a.map_field(K), b.map_field(K)) == poly_gcd(a, b).map_field(K)
-
 
 def field_elements(field):
     return st.lists(small_rationals, min_size=field.degree, max_size=field.degree).map(
@@ -189,6 +172,12 @@ FIELDS = [
     NumberField(Poly(QQ, [-2, 0, 0, 1]), name="a"),
 ]
 FIELD_IDS = ["zeta5", "zeta7", "cbrt2"]
+
+
+def minimal_polynomial(x):
+    """The minimal polynomial over Q of a number-field element: the image
+    of the roots of the defining polynomial under x as a polynomial."""
+    return _image_poly(Poly(QQ, x.coeffs), x.field.minpoly)
 
 
 class TestNumberFieldKernels:
@@ -205,20 +194,45 @@ class TestNumberFieldKernels:
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
     def test_vanishing_order_matches_repeated_divmod(self, K, data):
+        # p = m^e R over Q, with m the minimal polynomial of x; the order
+        # at x is the number of times m divides p exactly
         x = data.draw(field_elements(K))
+        m = minimal_polynomial(x)
         mult = data.draw(st.integers(min_value=0, max_value=3))
-        rest = Poly(K, data.draw(st.lists(field_elements(K), min_size=1, max_size=3)))
+        rest = data.draw(polys(3))
         if rest.is_zero():
             return
-        p = Poly(K, [-x, 1]) ** mult * rest
-        lin = Poly(K, [-x, 1])
+        p = m ** mult * rest
         expected, q = 0, p
         while True:
-            q, r = divmod(q, lin)
+            q, r = divmod(q, m)
             if not r.is_zero():
                 break
             expected += 1
         assert p.vanishing_order(x) == expected >= mult
+
+    @pytest.mark.parametrize("K", FIELDS, ids=FIELD_IDS)
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_local_index_at_irrational_points(self, K, data):
+        # f = P/Q with P = c Q + m^e R and m not dividing R: f - c has
+        # order e at x when Q(x) != 0
+        x = data.draw(field_elements(K))
+        m = minimal_polynomial(x)
+        e = data.draw(st.integers(min_value=1, max_value=3))
+        c = data.draw(small_rationals)
+        Q, R = data.draw(polys(3)), data.draw(polys(3))
+        if Q.is_zero() or not Q(x) or R.is_zero() or not (R % m):
+            return
+        f = RationalMap(Q * c + m ** e * R, Q)
+        assert f.local_index(x) == e
+
+    def test_polynomials_are_over_q(self):
+        K = NumberField.cyclotomic_field(5)
+        with pytest.raises(TypeError):
+            Poly(K, [1])
+        with pytest.raises(TypeError):
+            Poly(QQ, [K.gen])
 
 
 class TestResultant:
@@ -360,15 +374,6 @@ class TestImageKernel:
             chi = chi + basis * (1 / den)
         assert chi.degree == k and chi.lc == 1
         assert _image_poly(F, s) == squarefree_part(chi)
-
-    @pytest.mark.parametrize("K", [FIELDS[0], FIELDS[2]], ids=["zeta5", "cbrt2"])
-    @given(data=st.data())
-    @settings(max_examples=25, deadline=None)
-    def test_split_source_over_number_fields(self, K, data):
-        roots = data.draw(st.lists(field_elements(K), min_size=1, max_size=4, unique=True))
-        F = Poly(K, data.draw(st.lists(field_elements(K), min_size=1, max_size=4)))
-        images = list(dict.fromkeys(F(x) for x in roots))
-        assert _image_poly(F, Poly.from_roots(K, roots)) == Poly.from_roots(K, images)
 
 
 def _det(m):

@@ -167,8 +167,11 @@ class TestBundledChains:
             ),
             lambda text: text.replace("den 0 1\n", "den inf\n"),
             lambda text: text.replace("support 0 6", "support 1/0 6"),
+            # maps are over Q, even in a cyclotomic chain
+            lambda text: text.replace("num 1 0 1\n", "num t 1\n"),
         ],
-        ids=["outside-step", "no-field", "inf-coefficient", "zero-denominator"],
+        ids=["outside-step", "no-field", "inf-coefficient", "zero-denominator",
+             "irrational-coefficient"],
     )
     def test_misplaced_or_bad_lines_rejected(self, edit):
         text = bundled_text("prop12.chain")

@@ -3,20 +3,21 @@ import sys
 sys.path.insert(0, "src")
 from fractions import Fraction
 
-from ramcalc.exact import NumberField, Poly
+from ramcalc.exact import QQ, NumberField, Poly
 from ramcalc.manifest import ChainManifest, ChainStep, render_chain, parse_chain
 from ramcalc.rmap import INF, RationalMap, verify_chain
 
 
-def P(field, coeffs):
-    return Poly(field, coeffs)
+def P(coeffs):
+    """A polynomial over Q: every map of a chain is defined over Q."""
+    return Poly(QQ, coeffs)
 
 
-def expand(field, roots_with_mult):
-    """prod (z - r)^e as a Poly."""
-    out = Poly(field, [1])
+def expand(roots_with_mult):
+    """prod (z - r)^e as a Poly over Q."""
+    out = P([1])
     for r, e in roots_with_mult:
-        out = out * Poly(field, [-field.coerce(r), field.one]) ** e
+        out = out * P([-r, 1]) ** e
     return out
 
 
@@ -29,7 +30,7 @@ def build_prop9():
     def mk(name, kind, num, den, ram, out):
         steps.append(ChainStep(
             name=name, kind=kind,
-            map=RationalMap(P(K, num), P(K, den)),
+            map=RationalMap(P(num), P(den)),
             ram=[(K.coerce(p) if p != "inf" else INF, e) for p, e in ram],
             out=[p if p is INF else K.coerce(p) for p in out],
         ))
@@ -46,8 +47,8 @@ def build_prop9():
     mk("f7", "map", [225, 30, 1], [0, 4], [(15, 2), (-15, 2)],
        [16, INF, 15, 0])
     mk("f8", "auto", [0, 1], [-15, 1], [], [16, 1, INF, 0])
-    num9 = expand(K, [(1, 32), (16, 3)])
-    den9 = expand(K, [(10, 8), (0, 27)])
+    num9 = expand([(1, 32), (16, 3)])
+    den9 = expand([(10, 8), (0, 27)])
     steps.append(ChainStep(
         name="f9", kind="map", map=RationalMap(num9, den9),
         ram=[(K.coerce(0), 27), (K.coerce(1), 32), (K.coerce(10), 8), (K.coerce(16), 3), (INF, 3)],
@@ -65,7 +66,7 @@ def build_prop12_like(name, h6_support, h6_exponents, bound, bound_primes):
     start = [(K.one, 2)] + [(t ** i, 2) for i in range(1, 7)] + [(INF, 2)]
     steps = []
     steps.append(ChainStep(
-        name="h2", kind="map", map=RationalMap(P(K, [1, 0, 1]), P(K, [0, 1])),
+        name="h2", kind="map", map=RationalMap(P([1, 0, 1]), P([0, 1])),
         ram=[(K.coerce(1), 2), (K.coerce(-1), 2)],
         out=[K.coerce(2), K.coerce(-2), t + t ** 6, t ** 2 + t ** 5, t ** 3 + t ** 4, INF],
     ))
@@ -73,16 +74,16 @@ def build_prop12_like(name, h6_support, h6_exponents, bound, bound_primes):
     t2 = (t ** 2 + t ** 5 + 2) / (t ** 2 + t ** 5 - 2)
     t3 = (t ** 3 + t ** 4 + 2) / (t ** 3 + t ** 4 - 2)
     steps.append(ChainStep(
-        name="h3", kind="auto", map=RationalMap(P(K, [2, 1]), P(K, [-2, 1])),
+        name="h3", kind="auto", map=RationalMap(P([2, 1]), P([-2, 1])),
         ram=[], out=[INF, K.zero, t1, t2, t3, K.one],
     ))
     steps.append(ChainStep(
-        name="h4", kind="map", map=RationalMap(P(K, [1, 21, 35, 7]), P(K, [1])),
+        name="h4", kind="map", map=RationalMap(P([1, 21, 35, 7]), P([1])),
         ram=[(K.coerce(Fraction(-1, 3)), 2), (K.coerce(-3), 2), (INF, 3)],
         out=[K.coerce(0), K.coerce(1), K.coerce(64), K.coerce(Fraction(-64, 27)), INF],
     ))
     steps.append(ChainStep(
-        name="h5", kind="auto", map=RationalMap(P(K, [-256, 256]), P(K, [-64, 1])),
+        name="h5", kind="auto", map=RationalMap(P([-256, 256]), P([-64, 1])),
         ram=[], out=[K.coerce(0), K.coerce(4), K.coerce(13), K.coerce(256), INF],
     ))
     steps.append(ChainStep(
