@@ -718,6 +718,8 @@ class NumberFieldElement:
     def inverse(self) -> "NumberFieldElement":
         if not self:
             raise ZeroDivisionError("inverse of zero in a number field")
+        if self.is_rational():
+            return self.field.element([1 / self.coeffs[0]])
         inv = _inverse_mod(Poly(QQ, self.coeffs), self.field.minpoly)
         return self.field.element(list(inv.coeffs))
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional
@@ -186,8 +185,8 @@ class EdgeRule:
         return CurveNode.curve(t.coeff * n)
 
 
-def _proper_divisors(m: int):
-    """Sorted proper divisors of m, from its full factorization.
+def _factor(m: int) -> list:
+    """Sorted (prime, exponent) pairs of a curve level m >= 1.
 
     Curve levels in this graph are smooth by construction, so trial
     division by the primes below 1000 usually factors them completely;
@@ -210,13 +209,91 @@ def _proper_divisors(m: int):
         rest = 1
     if rest > 1:
         factors.append((rest, 1))
+    return factors
+
+
+def _proper_divisors(m: int):
+    """Sorted proper divisors of m, from its full factorization."""
     divs = [1]
-    for p, e in factors:
+    for p, e in _factor(m):
         powers = [p ** i for i in range(e + 1)]
         divs = [d * q for d in divs for q in powers]
     divs.sort()
     divs.pop()  # m itself
     return divs
+
+
+def _divisors_below(factors: list, x: int) -> int:
+    """How many divisors of the number with these sorted (prime,
+    exponent) pairs are below x; each of them is generated once."""
+    if x <= 1:
+        return 0
+    count = 0
+    stack = [(1, 0)]
+    while stack:
+        d, i = stack.pop()
+        count += 1
+        for j in range(i, len(factors)):
+            p, e = factors[j]
+            if d * p >= x:
+                break  # the later primes are larger still
+            q = d
+            for _ in range(e):
+                q *= p
+                if q >= x:
+                    break
+                stack.append((q, j + 1))
+    return count
+
+
+def _divisor_edges(m: int, factors: list, lo: int, cap: int) -> int:
+    """#{proper d | m : lo <= d <= cap}, from the exponents of m: all
+    proper divisors, less those below lo and those above the cap (whose
+    codivisors m/d >= 2 are below ceil(m/cap)).  When m < lo, m itself
+    is among those below lo, so the clamp gives 0."""
+    if cap < max(lo, 1):
+        return 0  # no level lies in [lo, cap]
+    tau = 1
+    for _, e in factors:
+        tau *= e + 1
+    count = tau - 1 - _divisors_below(factors, lo)
+    if m > cap:
+        count -= _divisors_below(factors, -(-m // cap)) - 1
+    return max(count, 0)
+
+
+def _divisor_lattice(m: int, factors: list, lo: int, cap: int, expanded, factored: dict) -> list:
+    """Sorted divisor successors of level m walked in its divisor lattice.
+
+    The walk starts at m and divides by one prime at a time.  It skips
+    divisors below lo (theirs are all below lo too) and returns those
+    at most `cap`; it walks on through larger ones, but not below a
+    divisor in `expanded`, whose own expansion has already reached
+    every divisor of it in [lo, cap].  Each divisor met is entered into
+    `factored` with its (prime, exponent) pairs, taken from m's.
+    """
+    out = []
+    seen = set()
+    todo = [(m, factors)]
+    while todo:
+        d, fs = todo.pop()
+        for i, (p, e) in enumerate(fs):
+            c = d // p
+            if c < lo:
+                break  # the later primes give smaller quotients still
+            if c in seen:
+                continue
+            seen.add(c)
+            cfs = factored.get(c)
+            if cfs is None:
+                cfs = fs[:i] + [(p, e - 1)] * (e > 1) + fs[i + 1:]
+                factored[c] = cfs
+            if c <= cap:
+                out.append(c)
+            if c not in expanded:
+                todo.append((c, cfs))
+    out.sort()
+    return out
 
 
 @dataclass
@@ -409,8 +486,13 @@ class RuleStore:
         parameter) into each reached key, None at the sources, and
         yields (key, [successor, ...]) for each expanded key: the
         target of every edge in rule order whose curve level is within
-        `value_cap`, repeats included.  `last_search` counts the nodes
-        reached and expanded and the edges yielded so far.
+        `value_cap`, repeats included, except that a divisor rule
+        yields only the divisors its lattice walk meets
+        (`_divisor_lattice`).  The divisors it leaves out lie below an
+        earlier expanded divisor, so they are already in `parent` and
+        still reachable along the yielded edges.  `last_search` counts
+        the nodes reached and expanded and every edge of the graph so
+        far, the divisor edges left out included.
         """
         if bound < 1:
             raise ValueError("search bound must be >= 1")
@@ -421,7 +503,8 @@ class RuleStore:
              r.target.form, r.target.coeff, r.target.name, r.min_param)
             for r in self
         ]
-        divisors: dict = {}
+        factored: dict = {}  # curve level -> its (prime, exponent) pairs
+        expanded = set()
         stats = self.last_search = {"nodes_reached": 0, "nodes_expanded": 0, "edges": 0}
         for key in sources:
             parent[key] = None
@@ -430,6 +513,7 @@ class RuleStore:
             nxt = []
             for key in frontier:
                 succs = []
+                edges = 0  # every edge out of key, walked or only counted
                 level = key if type(key) is int else None
                 for rule, sform, scoeff, sname, tform, tcoeff, tname, lo in rules:
                     if sform == "class":
@@ -449,10 +533,11 @@ class RuleStore:
                             continue
                         param = n = 1
                     else:  # divisor, target C(n)
-                        ds = divisors.get(level)
-                        if ds is None:
-                            ds = divisors[level] = _proper_divisors(level)
-                        ds = ds[bisect_left(ds, lo):bisect_right(ds, value_cap)]
+                        factors = factored.get(level)
+                        if factors is None:
+                            factors = factored[level] = _factor(level)
+                        edges += _divisor_edges(level, factors, lo, value_cap)
+                        ds = _divisor_lattice(level, factors, lo, value_cap, expanded, factored)
                         succs += ds
                         for d in ds:
                             if d not in parent:
@@ -466,12 +551,14 @@ class RuleStore:
                         if succ > value_cap:
                             continue
                     succs.append(succ)
+                    edges += 1
                     if succ not in parent:
                         parent[succ] = (key, rule, param)
                         nxt.append(succ)
+                expanded.add(key)
                 stats["nodes_reached"] = len(parent)
                 stats["nodes_expanded"] += 1
-                stats["edges"] += len(succs)
+                stats["edges"] += edges
                 yield key, succs
             if not nxt:
                 break

@@ -561,6 +561,34 @@ class TestRelation:
         code, _, err = run(capsys, "relation", "query", f"C({10 ** 18})", "C(5)", "--bound", "2")
         assert code in (0, 1) and err == ""
 
+    # (argv, exit code, sha256 of the human output, sha256 of the
+    # --json --deterministic output), recorded at commit 709d156
+    SMOOTH_LEVELS = [f"C({n})" for n in (5, 6, 8, 9, 10, 12, 15, 16, 18, 20, 24, 25,
+                                         27, 30, 32, 36, 40, 45, 48, 50, 54, 60)]
+    PINNED_OUTPUTS = [
+        (["classes", *SMOOTH_LEVELS], 0,
+         "2ccee21cebcb730c28218f7e778f9947385ea9d62464fade99531656d6f19449",
+         "dcee5b26a162dea2996045d2e5aee0ed94d93d66340e4a76460f40d981c29b71"),
+        (["query", "C(6)", "C(48)"], 0,
+         "9ab01021492494941f72156500b3d10505053e073dabf46f8fce07a0e531fd1b",
+         "9bb174518029377561215db8d6dc941fd62551092703744011f6d48e3e4e205e"),
+        (["query", "C(6)", "C(21)"], 1,
+         "2d068418a646a406b4cd8eb004028213fa78a2f5d3dcb43bb8190431d9d0c658",
+         "4bc39cb6b8985582a0c81635e58dc4f39c66d5c153706f62f0f9b416bfa3f990"),
+        (["trace", "C(5)", "C(25)"], 0,
+         "fd42012493d4cf04041d3d0d59c8c6e76893daaa770362815edd0aa151788a81",
+         "7e9d1d357f2dd3de8979cfb7ba0d138eb35bca150d01324f29f1dbf197003ac5"),
+    ]
+
+    @pytest.mark.parametrize("argv, code, human, det", PINNED_OUTPUTS,
+                             ids=["classes-smooth-5-60", "query-6-48", "query-6-21",
+                                  "trace-5-25"])
+    def test_outputs_match_pinned_bytes(self, capsys, argv, code, human, det):
+        for flags, digest in (((), human), (("--json", "--deterministic"), det)):
+            got, out, err = run(capsys, "relation", *argv, *flags)
+            assert (got, err) == (code, "")
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, flags
+
     def test_divisor_of_two_primes_above_1000(self, capsys):
         code, out, _ = run(capsys, "relation", "query", "C(1022117)", "C(1009)")
         assert code == 0

@@ -303,6 +303,18 @@ class TestNumberField:
         with pytest.raises(ZeroDivisionError):
             _inverse_mod(Poly(QQ, [-1, 1]), Poly(QQ, [-1, 0, 1]))
 
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_rational_inverse_matches_extended_euclid(self, n):
+        K = NumberField.cyclotomic_field(n)
+        for v in (Fraction(-7, 3), Fraction(8), Fraction(1, 1000)):
+            x = K.coerce(v)
+            inv = x.inverse()
+            assert inv == K.coerce(1 / v)
+            assert inv == K.element(list(_inverse_mod(Poly(QQ, [v]), K.minpoly).coeffs))
+        # a rational value reached through irrational arithmetic
+        s = sum((K.gen ** i for i in range(1, n)), K.zero)
+        assert s.is_rational() and s.inverse() == K.coerce(-1)
+
     def test_rationality_detection(self):
         K = NumberField.cyclotomic_field(5)
         t = K.gen

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ramcalc import relation
 from ramcalc.manifest import bundled_text
 from ramcalc.relation import (
     CAP_FACTOR,
@@ -15,6 +16,8 @@ from ramcalc.relation import (
     StoreFormatError,
     TraceStep,
     UnverifiedProvenance,
+    _divisor_edges,
+    _factor,
     _proper_divisors,
 )
 
@@ -86,6 +89,23 @@ class TestProperDivisors:
         m = cofactor * p * q
         brute = {a * b * c for a in _all_divisors(cofactor) for b in (1, p) for c in (1, q)}
         assert _proper_divisors(m) == sorted(brute - {m})
+
+    def test_divisor_edge_count(self):
+        for m in range(1, 400):
+            divs = _proper_divisors(m)
+            for lo in range(9):
+                for cap in (-1, 0, 1, 2, 5, 6, 12, 35, m // 2, m - 1, m, 10 ** 6):
+                    want = sum(1 for d in divs if lo <= d <= cap)
+                    assert _divisor_edges(m, _factor(m), lo, cap) == want, (m, lo, cap)
+
+    def test_level_factored_once(self, monkeypatch):
+        # 1009 * 1013 is above 999^2, so trial division cannot settle it;
+        # the divisors of the source take its primes
+        calls = []
+        real = relation.factor_int
+        monkeypatch.setattr(relation, "factor_int", lambda n: calls.append(n) or real(n))
+        bundled_store().search_tree(CurveNode.curve(6 * 1009 * 1013))
+        assert calls == [1009 * 1013]
 
 
 def _all_divisors(n):
@@ -272,11 +292,24 @@ class TestSearchAgainstReference:
     @example([(("C(n)", "C(2n)"), 1)], CurveNode.curve(3), 2, 6)
     @example([(("C(kn)", "C(n)"), 1)], CurveNode.curve(12), 1, 6)
     @example([(("C(5)", "C(7)"), 2), (("C(5)", "C(9)"), 1)], CurveNode.curve(5), 1, None)
+    # a source above the cap; divisor edges under n>=2
+    @example([(("C(kn)", "C(n)"), 2), (("C(n)", "C(2n)"), 1)], CurveNode.curve(24), 3, 6)
+    # C(6) is reached before C(12) is expanded, but not yet expanded
+    # itself, so the lattice walk of 12 must pass through 6 to reach 3
+    @example([(("C(1)", "C(12)"), 1), (("C(1)", "C(6)"), 1), (("C(kn)", "C(n)"), 1)],
+             CurveNode.curve(1), 2, None)
     def test_search_tree(self, forms, source, bound, cap):
         store = _store(forms)
-        expected, _ = _reference_walk(store, [source], bound, cap or _default_cap(source))
+        expected, adjacency = _reference_walk(store, [source], bound,
+                                              cap or _default_cap(source))
         got = store.search_tree(source, bound=bound, value_cap=cap)
         assert list(got.items()) == list(expected.items())
+        # the edge counter counts every divisor edge, walked or not
+        assert store.last_search == {
+            "nodes_reached": len(expected),
+            "nodes_expanded": len(adjacency),
+            "edges": sum(map(len, adjacency.values())),
+        }
 
     @given(_stores, _nodes, _nodes, st.integers(1, 4), _caps)
     @settings(max_examples=100, deadline=None)
