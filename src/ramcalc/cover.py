@@ -416,6 +416,13 @@ def verify_certificate(cert: DiagramCertificate, parameter_instances: Sequence[i
     unramified/project/compose claims are checked against the arrows
     already registered.  Assumptions are echoed in the report and never
     counted as passes.
+
+    A conclusion S => T passes when T is reached from S in the lies-over
+    graph of the claims before it that did not fail: an arrow A -> B
+    gives A => B, `unramified h f g` gives source(f) => source(g), and
+    `project p f g` gives source(f) => source(p) once (f, g) has passed
+    an unramified claim, the compositum being an unramified cover of
+    source(f); => is transitive.
     """
     instances = sorted(set(int(v) for v in parameter_instances))
     if not instances or any(v < 1 for v in instances):
@@ -424,26 +431,39 @@ def verify_certificate(cert: DiagramCertificate, parameter_instances: Sequence[i
     verdicts = []
     assumptions = []
     nodes = set(cert.nodes)
+    lies_over: dict = {node: set() for node in nodes}
+    unramified_pairs = set()
 
     def lookup(name: str) -> Arrow:
         if name not in arrows:
             raise CertificateError(f"claim references unregistered arrow {name!r}")
         return arrows[name]
+
+    def check_nodes(arrow: Arrow):
+        if arrow.source not in nodes or arrow.target not in nodes:
+            raise CertificateError(f"arrow {arrow.name} references unknown nodes")
+
+    def derive(verdict: ClaimVerdict, *edges):
+        verdicts.append(verdict)
+        if verdict.status != "fail":
+            for a, b in edges:
+                lies_over[a].add(b)
+
     for claim in cert.claims:
         kind = claim[0]
         if kind == "profile":
             _, arrow, basis = claim
-            if arrow.source not in nodes or arrow.target not in nodes:
-                raise CertificateError(f"arrow {arrow.name} references unknown nodes")
+            check_nodes(arrow)
             if arrow.name in arrows:
                 raise CertificateError(f"duplicate arrow {arrow.name}")
             arrows[arrow.name] = arrow
             if basis.startswith("assume:"):
                 tag = basis.split(":", 1)[1]
                 assumptions.append((tag, f"profile of {arrow.name} taken as given"))
-                verdicts.append(ClaimVerdict("profile", arrow.name, "assumed", [f"tag {tag}"]))
+                verdict = ClaimVerdict("profile", arrow.name, "assumed", [f"tag {tag}"])
             else:
-                verdicts.append(_given_profile_verdict(arrow, basis, instances))
+                verdict = _given_profile_verdict(arrow, basis, instances)
+            derive(verdict, (arrow.source, arrow.target))
         elif kind == "assume":
             _, tag, text = claim
             assumptions.append((tag, text))
@@ -452,6 +472,9 @@ def verify_certificate(cert: DiagramCertificate, parameter_instances: Sequence[i
             _, name, f_name, g_name = claim
             f, g = lookup(f_name), lookup(g_name)
             verdict = ClaimVerdict("unramified", name, "pass")
+            if f.target != g.target:
+                verdict.status = "fail"
+                verdict.details.append(f"{f_name} covers {f.target}, {g_name} covers {g.target}")
             labels = set(f.fibers) | set(g.fibers)
             for z in sorted(labels, key=str):
                 ff = f.fibers.get(z, TRIVIAL_FIBER)
@@ -465,9 +488,12 @@ def verify_certificate(cert: DiagramCertificate, parameter_instances: Sequence[i
                     if not ok:
                         verdict.status = "fail"
                         verdict.details.append(f"over {z} at n={n}: {witness}")
-            verdicts.append(verdict)
+            if verdict.status == "pass":
+                unramified_pairs.add((f_name, g_name))
+            derive(verdict, (f.source, g.source))
         elif kind == "project":
             _, arrow, f_name, g_name, at_labels = claim
+            check_nodes(arrow)
             f, g = lookup(f_name), lookup(g_name)
             verdict = ClaimVerdict("project", arrow.name, "pass")
             for z in at_labels:
@@ -480,9 +506,13 @@ def verify_certificate(cert: DiagramCertificate, parameter_instances: Sequence[i
                             verdict.status = "fail"
                             verdict.details.append(f"base {z} -> {target_label} at n={n}: {why}")
             arrows[arrow.name] = arrow
-            verdicts.append(verdict)
+            edges = [(arrow.source, arrow.target)]
+            if (f_name, g_name) in unramified_pairs:
+                edges.append((f.source, arrow.source))
+            derive(verdict, *edges)
         elif kind == "compose":
             _, arrow, outer_name, inner_name = claim
+            check_nodes(arrow)
             outer, inner = lookup(outer_name), lookup(inner_name)
             inner_specs = list(inner.fibers.values())
             if not inner_specs:
@@ -499,15 +529,32 @@ def verify_certificate(cert: DiagramCertificate, parameter_instances: Sequence[i
                         verdict.status = "fail"
                         verdict.details.append(f"over {z} at n={n}: {why}")
             arrows[arrow.name] = arrow
-            verdicts.append(verdict)
+            derive(verdict, (arrow.source, arrow.target))
         elif kind == "conclude":
             _, source, target = claim
-            verdicts.append(ClaimVerdict("conclude", f"{source} => {target}", "pass"))
+            if source not in nodes or target not in nodes:
+                raise CertificateError(f"conclusion {source} => {target} references unknown nodes")
+            verdict = ClaimVerdict("conclude", f"{source} => {target}", "pass")
+            if target not in _reached(lies_over, source):
+                verdict.status = "fail"
+                verdict.details.append(f"{target} is not reached from {source} by the claims that passed")
+            verdicts.append(verdict)
         else:
             raise CertificateError(f"unknown claim kind {kind!r}")
     return CertificateReport(
         name=cert.name, instances=instances, verdicts=verdicts, assumptions=assumptions
     )
+
+
+def _reached(graph: dict, start: str) -> set:
+    """Nodes reached from start along the graph's edges, start included."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nxt in graph[stack.pop()] - seen:
+            seen.add(nxt)
+            stack.append(nxt)
+    return seen
 
 
 def _symbolic_divides(g_fiber: Fiber, f_fiber: Fiber) -> bool:

@@ -80,6 +80,66 @@ def _int_horner(ints, na: int, da: int) -> int:
     return acc
 
 
+def _mulmod_zz(a, b, mp) -> list:
+    """a b mod mp for integer vectors a, b of length d and the monic
+    integer coefficient list mp of degree d: integer convolution, then
+    reduction from the top."""
+    d = len(mp) - 1
+    prod = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    for i in range(2 * d - 2, d - 1, -1):
+        c = prod[i]
+        if c:
+            for j in range(d):
+                prod[i - d + j] -= c * mp[j]
+    return prod[:d]
+
+
+def _nf_horner(ints, an, ad: int, mp) -> list:
+    """ad^n p(an/ad) as an integer vector mod mp, for the integer
+    coefficient list of a degree-n p and an element an/ad of Z[t]/(mp):
+    the number-field twin of `_int_horner`."""
+    acc = [0] * (len(mp) - 1)
+    bpow = 1
+    for c in reversed(ints):
+        if any(acc):
+            acc = _mulmod_zz(acc, an, mp)
+        acc[0] += c * bpow
+        bpow *= ad
+    return acc
+
+
+def _evaluator(x):
+    """(ev, mul) for a point x as `_as_point` gives it.  ev maps an
+    integer coefficient list of degree n to D^n p(x) as an integer list,
+    D the common denominator of x: one entry for a rational x, a vector
+    mod the minimal polynomial for an irrational element.  mul is the
+    product of two such values."""
+    if isinstance(x, NumberFieldElement):
+        an, ad = _int_vector(x.coeffs)
+        mp = x.field._minpoly_ints
+        return (lambda ints: _nf_horner(ints, an, ad, mp)), (lambda a, b: _mulmod_zz(a, b, mp))
+    na, da = int(x.numerator), int(x.denominator)
+    return (lambda ints: [_int_horner(ints, na, da)]), (lambda a, b: [a[0] * b[0]])
+
+
+def _derivative_ints(ints) -> list:
+    return [i * c for i, c in enumerate(ints)][1:]
+
+
+def _order_ints(ints, ev) -> int:
+    """Multiplicity of the point of ev as a root of the nonzero integer
+    coefficient list ints: the least j with p^(j)(x) != 0."""
+    order = 0
+    while not any(ev(ints)):
+        order += 1
+        ints = _derivative_ints(ints)
+    return order
+
+
 class Poly:
     """Univariate polynomial over QQ.
 
@@ -240,10 +300,14 @@ class Poly:
         and gives a rational."""
         x = _as_point(x)
         if isinstance(x, NumberFieldElement):
-            acc = x.field.zero
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
+            fld = x.field
+            if self.is_zero():
+                return fld.zero
+            ints, denom = self.int_form()
+            an, ad = _int_vector(x.coeffs)
+            den = denom * ad ** self.degree
+            vec = _nf_horner(ints, an, ad, fld._minpoly_ints)
+            return NumberFieldElement(fld, tuple(RAT(c, den) for c in vec))
         if self.is_zero():
             return QQ.zero
         # integer Horner with one reduction at the end: far cheaper
@@ -255,11 +319,12 @@ class Poly:
     def evaluates_to_zero(self, x) -> bool:
         """Whether p(x) = 0, skipping the final normalization over Q."""
         x = _as_point(x)
-        if isinstance(x, NumberFieldElement):
-            return not self(x)
         if self.is_zero():
             return True
         ints, _ = self.int_form()
+        if isinstance(x, NumberFieldElement):
+            an, ad = _int_vector(x.coeffs)
+            return not any(_nf_horner(ints, an, ad, x.field._minpoly_ints))
         return _int_horner(ints, int(x.numerator), int(x.denominator)) == 0
 
     def derivative(self) -> "Poly":
@@ -274,25 +339,13 @@ class Poly:
         inv = 1 / lc
         return self._wrap([c * inv for c in self.coeffs])
 
-    def reversed(self, at_degree: int | None = None) -> "Poly":
-        """Coefficients reversed, i.e. z^d * p(1/z) for d = at_degree."""
-        d = self.degree if at_degree is None else at_degree
-        if d < self.degree:
-            raise ValueError("reversal degree below actual degree")
-        padded = list(self.coeffs) + [QQ.zero] * (d + 1 - len(self.coeffs))
-        return self._wrap(padded[::-1])
-
     def vanishing_order(self, x) -> int:
         """Multiplicity of x as a root (0 if not a root): the least j with
         p^(j)(x) != 0, which needs no exact division."""
         if self.is_zero():
             raise ValueError("zero polynomial vanishes everywhere")
-        p = self
-        order = 0
-        while p.evaluates_to_zero(x):
-            order += 1
-            p = p.derivative()
-        return order
+        ev, _ = _evaluator(_as_point(x))
+        return _order_ints(self.int_form()[0], ev)
 
     def __repr__(self):
         if self.is_zero():
@@ -414,7 +467,7 @@ def _is_squarefree_qq(p: Poly) -> bool:
     """Certified squarefreeness over Q: gcd(p, p') = 1, by the modular
     certificate when one of the primes is good, else by the PRS."""
     ints, _ = p.int_form()
-    return len(_gcd_zz(ints, [i * c for i, c in enumerate(ints)][1:])) == 1
+    return len(_gcd_zz(ints, _derivative_ints(ints))) == 1
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -434,20 +487,6 @@ def squarefree_part(a: Poly) -> Poly:
     if g.degree <= 0:
         return a.monic()
     return (a // g).monic()
-
-
-def _inverse_mod(a: Poly, m: Poly) -> Poly:
-    """b with a b = 1 mod m, by the extended Euclidean algorithm over Q;
-    ZeroDivisionError when a is not a unit mod m."""
-    r0, r1 = a, m
-    s0, s1 = Poly(QQ, [1]), Poly(QQ, [])
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    if r0.degree != 0:
-        raise ZeroDivisionError("not a unit modulo the given polynomial")
-    return s0 * (1 / r0.coeffs[0])
 
 
 def resultant(a: Poly, b: Poly):
@@ -694,34 +733,35 @@ class NumberFieldElement:
         # minimal polynomial, and one normalisation per coefficient
         other = self._co(other)
         fld = self.field
-        d = fld.degree
         an, ad = _int_vector(self.coeffs)
         bn, bd = _int_vector(other.coeffs)
-        prod = [0] * (2 * d - 1)
-        for i, x in enumerate(an):
-            if x:
-                for j, y in enumerate(bn):
-                    prod[i + j] += x * y
-        mp = fld._minpoly_ints
-        for i in range(2 * d - 2, d - 1, -1):
-            c = prod[i]
-            if c:
-                for j in range(d):
-                    prod[i - d + j] -= c * mp[j]
+        prod = _mulmod_zz(an, bn, fld._minpoly_ints)
         den = ad * bd
         if den == 1:
-            return NumberFieldElement(fld, tuple(RAT(c) for c in prod[:d]))
-        return NumberFieldElement(fld, tuple(RAT(c, den) for c in prod[:d]))
+            return NumberFieldElement(fld, tuple(RAT(c) for c in prod))
+        return NumberFieldElement(fld, tuple(RAT(c, den) for c in prod))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "NumberFieldElement":
         if not self:
             raise ZeroDivisionError("inverse of zero in a number field")
+        fld = self.field
         if self.is_rational():
-            return self.field.element([1 / self.coeffs[0]])
-        inv = _inverse_mod(Poly(QQ, self.coeffs), self.field.minpoly)
-        return self.field.element(list(inv.coeffs))
+            return fld.element([1 / self.coeffs[0]])
+        # b = 1/a solves M(a) b = e_0, whose column c is a t^c mod p
+        an, ad = _int_vector(self.coeffs)
+        mp = fld._minpoly_ints
+        d = fld.degree
+        cols = [an]
+        for _ in range(d - 1):
+            top = cols[-1]
+            shifted = [0] + top[:-1]
+            if top[-1]:
+                shifted = [s - top[-1] * m for s, m in zip(shifted, mp)]
+            cols.append(shifted)
+        b = solve_linear_system(list(zip(*cols)), [1] + [0] * (d - 1))
+        return NumberFieldElement(fld, tuple(ad * v for v in b))
 
     def __truediv__(self, other):
         return self * self._co(other).inverse()

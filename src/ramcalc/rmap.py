@@ -15,6 +15,10 @@ from .exact import (
     NumberFieldElement,
     Poly,
     QQ,
+    _as_point,
+    _derivative_ints,
+    _evaluator,
+    _order_ints,
     is_smooth,
     poly_gcd,
 )
@@ -133,30 +137,30 @@ class RationalMap:
         At a finite x with Q(x) != 0 this is the least j >= 1 with
         Q(x) P^(j)(x) != P(x) Q^(j)(x): that difference is the j-th
         derivative at x of P Q(x) - Q P(x), which is Q(x) (P - f(x) Q),
-        so no product is expanded and nothing is divided.
+        so no product is expanded and nothing is divided.  P and Q are
+        integer lists padded to deg f, so both sides carry the same
+        power of the denominators and compare as integers.
         """
+        d = self.degree
+        p, q = (list(poly.int_form()[0]) + [0] * (d - poly.degree) for poly in (self.num, self.den))
         if is_inf(x):
-            if self.den.degree == 0 and self.num.degree > 0:
+            if self.den.degree == 0:
                 # polynomial map: infinity is totally ramified over itself
-                return self.num.degree
-            # move x to 0 by z -> 1/z on the source
-            d = self.degree
-            num_r = self.num.reversed(d)
-            den_r = self.den.reversed(d)
-            g = RationalMap(num_r, den_r)
-            return g.local_index(QQ.zero)
-        q = self.den(x)
-        if not q:
-            return self.den.vanishing_order(x)
-        p = self.num(x)
-        num, den = self.num, self.den
+                return d
+            # move x to 0 by z -> 1/z on the source: z^d P(1/z), z^d Q(1/z)
+            p, q, x = p[::-1], q[::-1], QQ.zero
+        ev, mul = _evaluator(_as_point(x))
+        q0 = ev(q)
+        if not any(q0):
+            return _order_ints(q, ev)
+        p0 = ev(p)
         j = 0
         # P Q(x) - Q P(x) is a nonzero polynomial of degree at most
         # deg f that vanishes at x, so the loop ends by j = deg f
         while True:
             j += 1
-            num, den = num.derivative(), den.derivative()
-            if q * num(x) != p * den(x):
+            p, q = _derivative_ints(p), _derivative_ints(q)
+            if mul(q0, ev(p)) != mul(p0, ev(q)):
                 return j
 
     # -- ramification --------------------------------------------------

@@ -162,6 +162,24 @@ class TestVerify:
         assert code == 2
         assert "too few fields" in err
 
+    @pytest.mark.parametrize("name", ["prop10.cert", "prop13.cert"])
+    def test_reversed_conclusion_exits_one(self, capsys, tmp_path, name):
+        text = bundled_text(name)
+        (source, target), = re.findall(r"claim conclude (\S+) (\S+)", text)
+        p = tmp_path / name
+        p.write_text(text.replace(f"claim conclude {source} {target}", f"claim conclude {target} {source}"))
+        code, out, _ = run(capsys, "verify", str(p))
+        assert code == 1
+        assert f"  conclude {target} => {source}: fail\n    {source} is not reached from {target}" in out
+
+    def test_conclusion_naming_undeclared_node_exits_two(self, capsys, tmp_path):
+        text = bundled_text("prop10.cert")
+        p = tmp_path / "nowhere.cert"
+        p.write_text(text.replace("claim conclude Xbig5 X5n", "claim conclude Cp Nowhere"))
+        code, out, err = run(capsys, "verify", str(p))
+        assert code == 2 and out == ""
+        assert "conclusion Cp => Nowhere references unknown nodes" in err
+
     def test_verify_never_imports_sympy(self):
         # the verify reports go to stdout, the summary is its last line
         script = """

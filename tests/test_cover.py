@@ -155,6 +155,52 @@ class TestCertificates:
         statuses = {v.status for v in report.verdicts if v.kind == "assume"}
         assert statuses <= {"assumed"}
 
+    def test_conclusion_is_derived(self):
+        cert = doubling_certificate()
+        (verdict,) = [v for v in verify_certificate(cert, (1, 2)).verdicts if v.kind == "conclude"]
+        assert (verdict.subject, verdict.status, verdict.details) == ("A => B", "pass", [])
+        # every node reached from A: the lies-over graph's closure
+        for target in ("A", "P1", "E", "Ec", "Q1", "B"):
+            claims = list(cert.claims[:-1]) + [("conclude", "A", target)]
+            report = verify_certificate(DiagramCertificate(cert.name, cert.nodes, claims, None), (1,))
+            assert report.verdicts[-1].status == "pass", target
+        # nothing lies back over A
+        for source in ("B", "Ec", "E", "P1"):
+            claims = list(cert.claims[:-1]) + [("conclude", source, "A")]
+            report = verify_certificate(DiagramCertificate(cert.name, cert.nodes, claims, None), (1,))
+            assert report.verdicts[-1].status == "fail" and not report.passed, source
+
+    def test_conclusion_needs_passing_claims(self):
+        # an F2 fiber that f6f10 does not divide fails u2, which carried Ec => B
+        cert = doubling_certificate()
+        for claim in cert.claims:
+            if claim[0] == "profile" and claim[1].name == "F2":
+                claim[1].fibers["0"] = Fiber("all", (ParamIndex.parse("16n"),))
+        report = verify_certificate(cert, (1, 2))
+        statuses = {v.subject: v.status for v in report.verdicts}
+        assert statuses["u2"] == "fail" and statuses["A => B"] == "fail"
+
+    def test_project_without_unramified_pair_derives_nothing(self):
+        cert = doubling_certificate()
+        claims = [c for c in cert.claims if c[:2] != ("unramified", "u1")]
+        report = verify_certificate(DiagramCertificate(cert.name, cert.nodes, claims, None), (1,))
+        assert report.verdicts[-1].status == "fail"
+
+    def test_conclusion_naming_undeclared_node_rejected(self):
+        from ramcalc.cover import CertificateError
+
+        cert = doubling_certificate()
+        claims = list(cert.claims[:-1]) + [("conclude", "A", "Nowhere")]
+        with pytest.raises(CertificateError, match="unknown nodes"):
+            verify_certificate(DiagramCertificate(cert.name, cert.nodes, claims, None), (1,))
+
+    def test_unramified_needs_a_common_target(self):
+        cert = doubling_certificate()
+        claims = list(cert.claims) + [("unramified", "u3", "f1", "F2")]
+        report = verify_certificate(DiagramCertificate(cert.name, cert.nodes, claims, None), (1,))
+        verdict = report.verdicts[-1]
+        assert verdict.status == "fail" and verdict.details[0] == "f1 covers P1, F2 covers Q1"
+
     def test_unknown_arrow_reference_rejected(self):
         from ramcalc.cover import CertificateError
 

@@ -1,6 +1,7 @@
 """Exact rationals, polynomials, resultants, and cyclotomic fields."""
 
 import ast
+import random
 import re
 from fractions import Fraction
 from itertools import permutations
@@ -17,7 +18,6 @@ from ramcalc.exact import (
     NumberField,
     Poly,
     _image_poly,
-    _inverse_mod,
     _poly_gcd_degree_mod,
     cyclotomic,
     factor_over_primes,
@@ -299,9 +299,13 @@ class TestNumberField:
         K = NumberField.cyclotomic_field(7)
         x = K.gen + K.coerce(2)
         assert x * x.inverse() == K.one
-        # z - 1 shares the root 1 with z^2 - 1, so it is not a unit mod it
         with pytest.raises(ZeroDivisionError):
-            _inverse_mod(Poly(QQ, [-1, 1]), Poly(QQ, [-1, 0, 1]))
+            K.zero.inverse()
+        for L in AGREEMENT_FIELDS:
+            rng = random.Random(L.degree)
+            for _ in range(25):
+                x = irrational_element(L, rng)
+                assert x * x.inverse() == L.one
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_rational_inverse_matches_extended_euclid(self, n):
@@ -310,7 +314,6 @@ class TestNumberField:
             x = K.coerce(v)
             inv = x.inverse()
             assert inv == K.coerce(1 / v)
-            assert inv == K.element(list(_inverse_mod(Poly(QQ, [v]), K.minpoly).coeffs))
         # a rational value reached through irrational arithmetic
         s = sum((K.gen ** i for i in range(1, n)), K.zero)
         assert s.is_rational() and s.inverse() == K.coerce(-1)
@@ -355,6 +358,91 @@ class TestNumberField:
         assert t ** 11 == K.one and t ** 5 != K.one
         x = t + K.coerce(3)
         assert x * x.inverse() == K.one
+
+
+AGREEMENT_FIELDS = [
+    NumberField.cyclotomic_field(3),
+    NumberField.cyclotomic_field(5),
+    NumberField.cyclotomic_field(7),
+    NumberField(Poly(QQ, [-2, 0, 0, 1]), name="a"),
+]
+AGREEMENT_IDS = ["zeta3", "zeta5", "zeta7", "cbrt2"]
+
+
+def random_rational(rng):
+    return Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+
+
+def random_poly(rng, degree):
+    return Poly(QQ, [random_rational(rng) for _ in range(degree + 1)])
+
+
+def irrational_element(K, rng):
+    while True:
+        x = K.element([random_rational(rng) for _ in range(K.degree)])
+        if not x.is_rational():
+            return x
+
+
+def field_horner(p, x):
+    """p(x) by Horner in the field's own arithmetic, one field product
+    per coefficient, as evaluation at an element ran before the integer
+    kernels."""
+    acc = x.field.zero
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def reference_vanishing_order(p, x):
+    """The least j with p^(j)(x) != 0, one derivative `Poly` per order."""
+    order = 0
+    while not field_horner(p, x):
+        order += 1
+        p = p.derivative()
+    return order
+
+
+class TestIntegerPointKernels:
+    """Horner and vanishing order at an element, in integers mod the
+    minimal polynomial, against the field's own arithmetic: 60 seeded
+    cases per field and kernel."""
+
+    @pytest.mark.parametrize("K", AGREEMENT_FIELDS, ids=AGREEMENT_IDS)
+    def test_call_matches_field_horner(self, K):
+        rng = random.Random(100 + K.degree)
+        for case in range(60):
+            p = random_poly(rng, rng.randint(-1, 12))
+            # one case in five is an element with a rational value
+            if case % 5:
+                x = irrational_element(K, rng)
+            else:
+                x = K.coerce(random_rational(rng))
+            ref = field_horner(p, x)
+            got = p(x)
+            assert ref == got
+            if not x.is_rational():
+                assert got.coeffs == ref.coeffs
+            assert p.evaluates_to_zero(x) == (not ref)
+
+    @pytest.mark.parametrize("K", AGREEMENT_FIELDS, ids=AGREEMENT_IDS)
+    def test_vanishing_order_matches_derivative_loop(self, K):
+        # p = m^e R with m the minimal polynomial of x: a root of
+        # planted multiplicity e, or more when m divides R
+        rng = random.Random(200 + K.degree)
+        for case in range(60):
+            if case % 4:
+                x = irrational_element(K, rng)
+                m = minimal_polynomial(x)
+            else:
+                r = random_rational(rng)
+                x, m = K.coerce(r), Poly(QQ, [-r, 1])
+            e = rng.randint(0, 3)
+            rest = random_poly(rng, rng.randint(0, 4))
+            if rest.is_zero():
+                continue
+            p = m ** e * rest
+            assert p.vanishing_order(x) == reference_vanishing_order(p, x) >= e
 
 
 class TestImageKernel:

@@ -1,10 +1,11 @@
 """Self-maps of the line: local indices, ramification, chain verification."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from ramcalc.exact import QQ, NumberField, Poly
+from ramcalc.exact import QQ, NumberField, Poly, _image_poly
 from ramcalc.manifest import load_bundled_chain, parse_chain, render_chain
 from ramcalc.rmap import (
     INF,
@@ -43,6 +44,135 @@ class TestLocalIndex:
         f = rmap([0, 0, 1])
         g = rmap([1, 0, 1], [0, 1])
         assert f.degree == 2 and g.degree == 2
+
+
+FIELDS = [
+    NumberField.cyclotomic_field(3),
+    NumberField.cyclotomic_field(5),
+    NumberField.cyclotomic_field(7),
+    NumberField(Poly(QQ, [-2, 0, 0, 1]), name="a"),
+]
+FIELD_IDS = ["zeta3", "zeta5", "zeta7", "cbrt2"]
+
+
+def random_rational(rng):
+    return Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+
+
+def random_poly(rng, degree):
+    return Poly(QQ, [random_rational(rng) for _ in range(degree + 1)])
+
+
+def irrational_element(K, rng):
+    while True:
+        x = K.element([random_rational(rng) for _ in range(K.degree)])
+        if not x.is_rational():
+            return x
+
+
+def value(p, x):
+    """p(x) by Horner in Fraction or field arithmetic."""
+    acc = x.field.zero if hasattr(x, "field") else Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def reference_local_index(f, x):
+    """The local index as computed before the integer kernels: one
+    derivative `Poly` per order, values in Fraction or field arithmetic,
+    and a second map, z -> 1/z on the source, at infinity."""
+    if x == INF:
+        if f.den.degree == 0:
+            return f.num.degree
+        d = f.degree
+        num, den = (Poly(QQ, (list(p.coeffs) + [0] * (d - p.degree))[::-1]) for p in (f.num, f.den))
+        return reference_local_index(RationalMap(num, den), Fraction(0))
+    q = value(f.den, x)
+    if not q:
+        den, order = f.den, 0
+        while not value(den, x):
+            den, order = den.derivative(), order + 1
+        return order
+    p = value(f.num, x)
+    num, den = f.num, f.den
+    j = 0
+    while True:
+        j += 1
+        num, den = num.derivative(), den.derivative()
+        if q * value(num, x) != p * value(den, x):
+            return j
+
+
+def planted_point(K, rng, kind):
+    """(x, m): a point and a polynomial over Q that vanishes at it
+    once, the minimal polynomial for an irrational element."""
+    if kind == "irrational":
+        x = irrational_element(K, rng)
+        return x, _image_poly(Poly(QQ, x.coeffs), K.minpoly)
+    r = random_rational(rng)
+    return (r if kind == "rational" else K.coerce(r)), Poly(QQ, [-r, 1])
+
+
+class TestLocalIndexAgreement:
+    """`local_index` on integer lists against the reference above: 20
+    seeded maps per field and kind of point."""
+
+    @pytest.mark.parametrize("kind", ["rational", "irrational", "rational-valued"])
+    @pytest.mark.parametrize("K", FIELDS, ids=FIELD_IDS)
+    def test_planted_ramification(self, K, kind):
+        # f = (c Q + m^e R)/Q: f - c has order e at x when Q(x) != 0
+        # and m does not divide R
+        rng = random.Random(f"{K!r} {kind}")
+        cases = 0
+        while cases < 20:
+            x, m = planted_point(K, rng, kind)
+            e = rng.randint(1, 4)
+            Q, R = random_poly(rng, rng.randint(0, 4)), random_poly(rng, rng.randint(0, 3))
+            if Q.is_zero() or not value(Q, x) or R.is_zero() or not (R % m):
+                continue
+            f = RationalMap(Q * random_rational(rng) + m ** e * R, Q)
+            assert f.local_index(x) == reference_local_index(f, x) == e
+            cases += 1
+
+    @pytest.mark.parametrize("kind", ["rational", "irrational", "rational-valued"])
+    @pytest.mark.parametrize("K", FIELDS, ids=FIELD_IDS)
+    def test_poles(self, K, kind):
+        # f = P/(m^e R) with P(x) != 0 and R(x) != 0 has a pole of order e
+        rng = random.Random(f"pole {K!r} {kind}")
+        cases = 0
+        while cases < 20:
+            x, m = planted_point(K, rng, kind)
+            e = rng.randint(1, 4)
+            P, R = random_poly(rng, rng.randint(0, 5)), random_poly(rng, rng.randint(0, 2))
+            if P.is_zero() or R.is_zero() or not value(P, x) or not value(R, x):
+                continue
+            f = RationalMap(P, m ** e * R)
+            assert f.local_index(x) == reference_local_index(f, x) == e
+            cases += 1
+
+    @pytest.mark.parametrize("K", FIELDS, ids=FIELD_IDS)
+    def test_random_maps_at_points_and_infinity(self, K):
+        rng = random.Random(f"random {K!r}")
+        cases = 0
+        while cases < 20:
+            P, Q = random_poly(rng, rng.randint(0, 6)), random_poly(rng, rng.randint(0, 6))
+            if P.is_zero() or Q.is_zero() or max(P.degree, Q.degree) < 1:
+                continue
+            f = RationalMap(P, Q)
+            for x in (INF, irrational_element(K, rng), K.coerce(random_rational(rng)), random_rational(rng)):
+                assert f.local_index(x) == reference_local_index(f, x)
+            cases += 1
+
+    def test_f9_of_prop9(self):
+        chain = load_bundled_chain("prop9.chain")
+        (f9,) = [s.map for s in chain.steps if s.name == "f9"]
+        K = chain.field
+        for x, e in ((1, 32), (0, 27), (10, 8), (16, 3), (INF, 3), (K.gen, 1)):
+            assert f9.local_index(x) == reference_local_index(f9, x) == e
+        # a rational value reached through irrational arithmetic
+        one = -sum((K.gen ** i for i in range(1, 5)), K.zero)
+        assert one.is_rational() and f9.local_index(one) == 32
 
 
 class TestRamDivisor:

@@ -174,8 +174,10 @@ def build_prop6():
 
 
 def build_thm30():
-    nodes = ["E1", "P1", "E1cov", "P1q", "E1cov2", "P1r", "Xm"]
-    f3 = Arrow("f3", "E1", "P1", None, {"O": mult("2n")})
+    nodes = ["E1", "E1cov", "P1q", "E1cov2", "P1r", "Xm"]
+    # O is the origin of E1: f3 and the multiplication map f2m both
+    # cover E1, so their compositum is taken over E1
+    f3 = Arrow("f3", "E1", "E1", None, {"O": mult("2n")})
     f2m = Arrow("f2m", "E1", "E1", None, {})
     f4 = Arrow("f4", "E1cov", "E1", None, {"O": mult("2n")})
     f5 = Arrow("f5", "E1", "P1q", PI("2"),
