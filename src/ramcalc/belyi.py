@@ -59,9 +59,6 @@ class BelyiVerification:
 
     dlog_constant: Fraction
     degree: int
-    fiber_over_zero: list   # (point, index) with positive exponent
-    fiber_over_inf: list    # (point, index) with negative exponent
-    infinity_index: int     # index of the point at infinity over 1
 
 
 def vandermonde_exponents(support: Sequence) -> tuple[int, ...]:
@@ -127,18 +124,9 @@ def verify_belyi(t: BelyiTuple) -> BelyiVerification:
         raise NotBelyiForm(f"dlog numerator is not constant (degree {n.degree})")
     if n.is_zero():
         raise NotBelyiForm("dlog numerator vanishes identically")
-    pos = [(p, r) for p, r in zip(t.support, t.exponents) if r > 0]
-    neg = [(p, -r) for p, r in zip(t.support, t.exponents) if r < 0]
-    degree = sum(e for _, e in pos)
-    if degree != sum(e for _, e in neg):
-        raise NotBelyiForm("fiber sums over 0 and infinity disagree")
-    return BelyiVerification(
-        dlog_constant=n.coeffs[0],
-        degree=degree,
-        fiber_over_zero=pos,
-        fiber_over_inf=neg,
-        infinity_index=t.k - 1,
-    )
+    # the exponents sum to zero, so the fibers over 0 and infinity
+    # have the same degree
+    return BelyiVerification(dlog_constant=n.coeffs[0], degree=t.degree)
 
 
 def exponent_factorizations(t: BelyiTuple, primes: Iterable[int]):

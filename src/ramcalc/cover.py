@@ -240,7 +240,6 @@ class DiagramCertificate:
     name: str
     nodes: list
     claims: list  # (kind, payload...) tuples in dependency order
-    conclusion: Optional[tuple] = None  # (source node, target node)
 
 
 @dataclass

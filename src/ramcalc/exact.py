@@ -1,5 +1,5 @@
 """Exact arithmetic substrate: rationals, univariate polynomials over
-Q, and number fields Q[a]/(p(a)).
+Q, and the cyclotomic fields Q(zeta_n).
 
 Everything here is immutable and exact; no floating point anywhere.
 Polynomials store coefficients constant-term first with no trailing
@@ -34,8 +34,6 @@ class RationalField:
     def coerce(self, v):
         if isinstance(v, (int, numbers.Rational)) or type(v) is RAT:
             return RAT(v)
-        if isinstance(v, str):
-            return RAT(Fraction(v))
         raise TypeError(f"cannot coerce {v!r} into Q")
 
     @property
@@ -113,17 +111,17 @@ def _nf_horner(ints, an, ad: int, mp) -> list:
 
 
 def _evaluator(x):
-    """(ev, mul) for a point x as `_as_point` gives it.  ev maps an
-    integer coefficient list of degree n to D^n p(x) as an integer list,
-    D the common denominator of x: one entry for a rational x, a vector
+    """(ev, mul, D) for a point x as `_as_point` gives it, D the common
+    denominator of x.  ev maps an integer coefficient list of degree n
+    to D^n p(x) as an integer list: one entry for a rational x, a vector
     mod the minimal polynomial for an irrational element.  mul is the
     product of two such values."""
     if isinstance(x, NumberFieldElement):
         an, ad = _int_vector(x.coeffs)
         mp = x.field._minpoly_ints
-        return (lambda ints: _nf_horner(ints, an, ad, mp)), (lambda a, b: _mulmod_zz(a, b, mp))
+        return (lambda ints: _nf_horner(ints, an, ad, mp)), (lambda a, b: _mulmod_zz(a, b, mp)), ad
     na, da = int(x.numerator), int(x.denominator)
-    return (lambda ints: [_int_horner(ints, na, da)]), (lambda a, b: [a[0] * b[0]])
+    return (lambda ints: [_int_horner(ints, na, da)]), (lambda a, b: [a[0] * b[0]]), da
 
 
 def _derivative_ints(ints) -> list:
@@ -161,15 +159,6 @@ class Poly:
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
-
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def from_roots(field, roots: Sequence) -> "Poly":
-        p = Poly(field, [1])
-        for r in roots:
-            p = p * Poly(field, [-field.coerce(r), 1])
-        return p
 
     # -- basic structure ----------------------------------------------
 
@@ -298,34 +287,21 @@ class Poly:
         """p(x) at a rational x, or at an element x of a number field.
         An element with a rational value is evaluated as that rational
         and gives a rational."""
-        x = _as_point(x)
-        if isinstance(x, NumberFieldElement):
-            fld = x.field
-            if self.is_zero():
-                return fld.zero
-            ints, denom = self.int_form()
-            an, ad = _int_vector(x.coeffs)
-            den = denom * ad ** self.degree
-            vec = _nf_horner(ints, an, ad, fld._minpoly_ints)
-            return NumberFieldElement(fld, tuple(RAT(c, den) for c in vec))
-        if self.is_zero():
-            return QQ.zero
         # integer Horner with one reduction at the end: far cheaper
         # than per-step gcd normalization once coefficients are huge
+        x = _as_point(x)
+        ev, _, ad = _evaluator(x)
         ints, denom = self.int_form()
-        na, da = int(x.numerator), int(x.denominator)
-        return RAT(_int_horner(ints, na, da), denom * da ** self.degree)
+        den = denom * ad ** max(self.degree, 0)
+        vals = [RAT(c, den) for c in ev(ints)]
+        if isinstance(x, NumberFieldElement):
+            return NumberFieldElement(x.field, tuple(vals))
+        return vals[0]
 
     def evaluates_to_zero(self, x) -> bool:
         """Whether p(x) = 0, skipping the final normalization over Q."""
-        x = _as_point(x)
-        if self.is_zero():
-            return True
-        ints, _ = self.int_form()
-        if isinstance(x, NumberFieldElement):
-            an, ad = _int_vector(x.coeffs)
-            return not any(_nf_horner(ints, an, ad, x.field._minpoly_ints))
-        return _int_horner(ints, int(x.numerator), int(x.denominator)) == 0
+        ev, _, _ = _evaluator(_as_point(x))
+        return not any(ev(self.int_form()[0]))
 
     def derivative(self) -> "Poly":
         return self._wrap([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -338,14 +314,6 @@ class Poly:
             return self
         inv = 1 / lc
         return self._wrap([c * inv for c in self.coeffs])
-
-    def vanishing_order(self, x) -> int:
-        """Multiplicity of x as a root (0 if not a root): the least j with
-        p^(j)(x) != 0, which needs no exact division."""
-        if self.is_zero():
-            raise ValueError("zero polynomial vanishes everywhere")
-        ev, _ = _evaluator(_as_point(x))
-        return _order_ints(self.int_form()[0], ev)
 
     def __repr__(self):
         if self.is_zero():
@@ -611,30 +579,14 @@ def check_prime(p: int) -> None:
 # number fields
 
 
-MAX_CHECKED_DEGREE = 8
-
-
 class NumberField:
     """Q[a]/(p(a)) for a monic irreducible integer polynomial p.
 
-    Irreducibility is certified at construction: by factoring for
-    degree <= 8 (larger degrees are refused), and by Gauss's theorem
-    for the cyclotomic fields of `cyclotomic_field`.
+    The program builds only the cyclotomic fields of `cyclotomic_field`,
+    whose irreducibility is Gauss's theorem.
     """
 
-    def __init__(self, minpoly: Poly, name: str = "a"):
-        self._setup(minpoly, name)
-        # is_irreducible refuses degrees above MAX_CHECKED_DEGREE
-        if not is_irreducible(minpoly):
-            raise ValueError("defining polynomial is reducible over Q")
-
     def _setup(self, minpoly: Poly, name: str):
-        if minpoly.degree < 1:
-            raise ValueError("defining polynomial must be nonconstant")
-        if minpoly.lc != 1:
-            raise ValueError("defining polynomial must be monic")
-        if any(c.denominator != 1 for c in minpoly.coeffs):
-            raise ValueError("defining polynomial must have integer coefficients")
         self.minpoly = minpoly
         self._minpoly_ints = minpoly.int_form()[0]
         self.name = name
@@ -656,7 +608,7 @@ class NumberField:
             if v.field is not self and v.field != self:
                 raise TypeError("element of a different number field")
             return v
-        if isinstance(v, (int, numbers.Rational, str)) or type(v) is RAT:
+        if isinstance(v, (int, numbers.Rational)) or type(v) is RAT:
             return self.element([QQ.coerce(v)])
         raise TypeError(f"cannot coerce {v!r} into {self!r}")
 
@@ -819,7 +771,8 @@ class NumberFieldElement:
 
 # ---------------------------------------------------------------------------
 # the only bridge to sympy: factoring over Z, and irreducibility over Q
-# (small degrees); `contract` and `verify` never reach it
+# (small degrees, no caller in the package); `contract` and `verify`
+# never reach it
 
 
 def factor_int(n: int) -> list:
@@ -827,6 +780,9 @@ def factor_int(n: int) -> list:
     from sympy import factorint
 
     return sorted(factorint(n).items())
+
+
+MAX_CHECKED_DEGREE = 8
 
 
 def is_irreducible(p: Poly) -> bool:

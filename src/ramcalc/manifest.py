@@ -35,9 +35,10 @@ class ManifestError(ValueError):
 
 _TOKEN_RE = re.compile(r"\s*(\d+(?:\.\d*)?|\.\d+|[A-Za-z]\w*|\*\*|[-+*/^()])")
 
-# the largest exponent, and the largest degree of a polynomial built
-# while parsing: expressions are outside input, and z^100000 or
-# (z^64)^64 would otherwise be expanded before anything looks at them
+# the largest exponent, the largest degree of a polynomial built while
+# parsing, and the deepest nesting of parentheses: expressions are
+# outside input, and z^100000 or (z^64)^64 would otherwise be expanded
+# before anything looks at them, and each nesting level is a recursion
 MAX_DEGREE = 64
 
 
@@ -65,7 +66,8 @@ class _ExprParser:
     factor)*; factor = '-'* atom (('^'|'**') int)?; atom = number | name
     | (expr), where a number is an integer or a decimal and each name
     is a key of `gens`, the generators the caller allows.  Division is
-    by nonzero constants only.
+    by nonzero constants only, and parentheses nest at most MAX_DEGREE
+    deep.
     """
 
     def __init__(self, field, gens: dict, tokens):
@@ -73,6 +75,7 @@ class _ExprParser:
         self.gens = gens
         self.toks = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -138,9 +141,13 @@ class _ExprParser:
         if tok in self.gens:
             return self.gens[tok]
         if tok == "(":
+            self.depth += 1
+            if self.depth > MAX_DEGREE:
+                raise ManifestError(f"parentheses nested deeper than {MAX_DEGREE}")
             v = self.expr()
             if self.take() != ")":
                 raise ManifestError("unbalanced parenthesis")
+            self.depth -= 1
             return v
         raise ManifestError(f"unexpected token {tok!r}")
 
@@ -195,9 +202,7 @@ def _render_nfe(p: NumberFieldElement) -> str:
 def _render_field_spec(field) -> str:
     if isinstance(field, RationalField):
         return "rational"
-    if isinstance(field, NumberField) and field.cyclotomic_index is not None:
-        return f"cyclotomic {field.cyclotomic_index}"
-    raise ManifestError("only rational and cyclotomic base fields are supported")
+    return f"cyclotomic {field.cyclotomic_index}"
 
 
 def _parse_field_spec(spec: str):
@@ -437,7 +442,6 @@ def parse_cert(text: str) -> CertificateManifest:
     arrows: dict = {}
     order = []
     claims = []
-    conclusion = None
     for ln in lines[1:]:
         key, _, rest = ln.partition(" ")
         if key == "name":
@@ -496,7 +500,6 @@ def parse_cert(text: str) -> CertificateManifest:
             elif ckind == "compose":
                 claims.append(("compose", arrows[parts[0]], parts[1], parts[2]))
             elif ckind == "conclude":
-                conclusion = (parts[0], parts[1])
                 claims.append(("conclude", parts[0], parts[1]))
             else:
                 raise ManifestError(f"unknown claim kind {ckind!r}")
@@ -504,7 +507,7 @@ def parse_cert(text: str) -> CertificateManifest:
             raise ManifestError(f"unknown certificate key {key!r}")
     if name is None or not nodes:
         raise ManifestError("certificate needs a name and nodes")
-    cert = DiagramCertificate(name=name, nodes=nodes, claims=claims, conclusion=conclusion)
+    cert = DiagramCertificate(name=name, nodes=nodes, claims=claims)
     return CertificateManifest(
         certificate=cert, parameter=parameter, instances=instances, arrows=order
     )
@@ -518,11 +521,3 @@ def bundled_text(filename: str) -> str:
     from importlib import resources
 
     return resources.files("ramcalc.data").joinpath(filename).read_text()
-
-
-def load_bundled_chain(filename: str) -> ChainManifest:
-    return parse_chain(bundled_text(filename))
-
-
-def load_bundled_cert(filename: str) -> CertificateManifest:
-    return parse_cert(bundled_text(filename))

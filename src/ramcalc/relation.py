@@ -127,8 +127,10 @@ class EdgeRule:
     def __post_init__(self):
         if self.kind not in ("axiom", "verified"):
             raise ValueError(f"unknown rule kind {self.kind!r}")
-        if not self.provenance:
-            raise ValueError("provenance must be nonempty")
+        # a store line holds each of them as one token
+        for label, value in (("rule id", self.rule_id), ("provenance", self.provenance)):
+            if not re.fullmatch(r"\S+", value):
+                raise ValueError(f"{label} {value!r} is not one nonempty token without spaces")
         if not _COND_RE.match(self.condition):
             raise ValueError(f"unsupported side condition {self.condition!r}")
         if self.source.form == "divisor" and not (
@@ -376,11 +378,6 @@ class RuleStore:
         self._rules[rule.content_hash()] = rule
         return rule.content_hash()
 
-    def add_axiom(self, rule: EdgeRule):
-        if rule.kind != "axiom":
-            raise ValueError("add_axiom takes axiom rules only")
-        return self.add_rule(rule)
-
     # -- persistence ---------------------------------------------------
 
     def dump(self) -> str:
@@ -414,19 +411,16 @@ class RuleStore:
         source: CurveNode,
         target: CurveNode,
         bound: int = DEFAULT_BOUND,
-        value_cap: Optional[int] = None,
     ):
         """Shortest derivation within the bound, or None if not found.
 
         Intermediate curve levels are capped (rule coefficients can
         blow levels up far beyond both endpoints before contracting
-        them back down); the default cap is generous desk scale.
+        them back down); the cap is generous desk scale.
         """
-        if value_cap is None:
-            value_cap = _default_cap([source, target])
         goal = _key(target)
         parent: dict = {}
-        for _ in self._walk([_key(source)], bound, value_cap, parent):
+        for _ in self._walk([_key(source)], bound, _default_cap([source, target]), parent):
             if goal in parent:
                 path = [goal]
                 while parent[path[-1]] is not None:

@@ -149,7 +149,7 @@ class RationalMap:
                 return d
             # move x to 0 by z -> 1/z on the source: z^d P(1/z), z^d Q(1/z)
             p, q, x = p[::-1], q[::-1], QQ.zero
-        ev, mul = _evaluator(_as_point(x))
+        ev, mul, _ = _evaluator(_as_point(x))
         q0 = ev(q)
         if not any(q0):
             return _order_ints(q, ev)

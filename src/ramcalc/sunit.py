@@ -20,12 +20,7 @@ from .exact import is_smooth
 class SmoothSet:
     """All P-smooth positive integers up to a height bound, sorted."""
 
-    primes: tuple
-    bound: int
     values: tuple
-
-    def __contains__(self, n: int) -> bool:
-        return 1 <= n <= self.bound and is_smooth(n, self.primes)
 
 
 def _normalize_primes(primes: Iterable[int]) -> tuple:
@@ -53,7 +48,7 @@ def smooth_enum(primes: Iterable[int], bound: int) -> SmoothSet:
                     vals.add(w)
                     nxt.append(w)
         frontier = nxt
-    return SmoothSet(ps, bound, tuple(sorted(vals)))
+    return SmoothSet(tuple(sorted(vals)))
 
 
 def unit_equation_solutions(primes: Iterable[int], bound: int) -> list:

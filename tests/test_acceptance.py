@@ -25,10 +25,12 @@ from ramcalc.cover import (
     verify_certificate,
 )
 from ramcalc.exact import QQ, Poly, cyclotomic, is_smooth
-from ramcalc.manifest import bundled_text, load_bundled_cert, load_bundled_chain
+from ramcalc.manifest import bundled_text, parse_cert, parse_chain
 from ramcalc.relation import CurveNode, RuleStore
 from ramcalc.rmap import is_inf, verify_chain
 from ramcalc.sunit import prop24_pairs, thm26_family, unit_equation_solutions
+
+from helpers import from_roots
 
 
 def report(criterion: str, ok: bool, extra: str = ""):
@@ -46,7 +48,7 @@ def naive_smooth(n, primes):
 
 def test_criterion_01_quintic_chain():
     t0 = time.monotonic()
-    manifest = load_bundled_chain("prop9.chain")
+    manifest = parse_chain(bundled_text("prop9.chain"))
     rep = verify_chain(manifest)
     ok = rep.passed
 
@@ -65,8 +67,8 @@ def test_criterion_01_quintic_chain():
     # exact logarithmic-derivative identity for the last map:
     # d(last)/last = 4320 / (z (z-1) (z-10) (z-16))
     last = manifest.steps[-1].map
-    expected_num = Poly.from_roots(QQ, [1] * 32 + [16] * 3)
-    expected_den = Poly.from_roots(QQ, [10] * 8 + [0] * 27)
+    expected_num = from_roots([1] * 32 + [16] * 3)
+    expected_den = from_roots([10] * 8 + [0] * 27)
     ok = ok and last.num == expected_num and last.den == expected_den
     n = dlog_numerator(BelyiTuple((0, 1, 10, 16), (-27, 32, -8, 3)))
     ok = ok and n.degree == 0 and n.coeffs[0] == 4320
@@ -79,7 +81,7 @@ def test_criterion_01_quintic_chain():
 
 def _check_belyi_chain(name, expected_abs_exponents, bound, primes):
     t0 = time.monotonic()
-    manifest = load_bundled_chain(name)
+    manifest = parse_chain(bundled_text(name))
     rep = verify_chain(manifest)
     ok = rep.passed and rep.bound_ok
 
@@ -117,7 +119,7 @@ def test_criterion_02_septic_chain():
 
 
 def test_criterion_03_septic_chain_variant():
-    manifest = load_bundled_chain("prop14.chain")
+    manifest = parse_chain(bundled_text("prop14.chain"))
     step = manifest.steps[-1]
     expected = [abs(r) for r in step.exponents] + [len(step.support) - 1]
     bound = 2 ** 18 * 3 ** 8 * 5 ** 2 * 11 * 43
@@ -187,7 +189,7 @@ def test_criterion_06_certificates_discharge():
     ok = True
     details = []
     for name, expected_tags in EXPECTED_ASSUMPTIONS.items():
-        m = load_bundled_cert(name)
+        m = parse_cert(bundled_text(name))
         rep = verify_certificate(m.certificate, (1, 2, 3, 6))
         tags = [t for t, _ in rep.assumptions]
         good = rep.passed and tags == expected_tags

@@ -71,6 +71,17 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", cert_file, "--param", "n=4,5")
         assert code == 0
 
+    @pytest.mark.parametrize("depth, code", [(64, 0), (65, 2), (400, 2)])
+    def test_nested_parentheses_above_64_exit_two(self, capsys, tmp_path, depth, code):
+        # each level is a recursion of the expression parser
+        text = bundled_text("prop9.chain").replace("start 1:2", f"start {'(' * depth}1{')' * depth}:2")
+        p = tmp_path / "nested.chain"
+        p.write_text(text)
+        got, out, err = run(capsys, "verify", str(p))
+        assert got == code
+        if code == 2:
+            assert out == "" and err == "error: parentheses nested deeper than 64\n"
+
     def test_tampered_chain_exits_one_with_witness(self, capsys, tmp_path):
         text = bundled_text("prop9.chain").replace("1:32", "1:31")
         p = tmp_path / "bad.chain"
@@ -420,6 +431,38 @@ class TestContract:
         assert code == 2
         assert out == "" and err.startswith("error:") and "above 64" in err
 
+    # (argv, exit code, sha256 of the human output, sha256 of the
+    # --json --deterministic output), recorded at commit eef5d87
+    PINNED_OUTPUTS = [
+        (["z^2-2"], 0,
+         "ac302638530fd94ec5dbb611bc15117b5ef24d489d11e9d507c3a9bd16ec540e",
+         "58d3ebdb183f152592af8e4726164740fa40b87b561f9f0897f5170f1009350a"),
+        (["z^3-2"], 0,
+         "0bc9dbf9a22dc44eb893f5fc4dcaa69b46909ba6e63059a8bfe34c0116f3ce30",
+         "a3945f313f5b39930222fb0f8eb030127974c95dc3c0992f6ed6a39f1aa1081d"),
+        (["z^4+1"], 0,
+         "9762432e7014418bb2cbea438c27ebc747cf3fdfdd51f411dd7926ae852f00e8",
+         "2443cebf183a726f4996aecaf7a81aa7a39b346ebac2cde987c0bee06058b74a"),
+        (["z^5-3"], 0,
+         "9cdcbdb12722298b7e9507619dfb18585a08212a8e280d10022e9847c6959b91",
+         "b6ca2a23043f31c22f236cc4777538302f18a3e4858f6ebc7a3bb50540f7dbed"),
+    ]
+
+    @pytest.mark.parametrize("argv, code, human, det", PINNED_OUTPUTS,
+                             ids=[row[0][0] for row in PINNED_OUTPUTS])
+    def test_outputs_match_pinned_bytes(self, capsys, argv, code, human, det):
+        for flags, digest in (((), human), (("--json", "--deterministic"), det)):
+            got, out, err = run(capsys, "contract", *argv, *flags)
+            assert (got, err) == (code, "")
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, flags
+
+    @pytest.mark.parametrize("depth, code", [(64, 0), (65, 2), (300, 2)])
+    def test_nested_parentheses_above_64_exit_two(self, capsys, depth, code):
+        got, out, err = run(capsys, "contract", f"{'(' * depth}z^2-2{')' * depth}")
+        assert got == code
+        if code == 2:
+            assert out == "" and err.startswith("error:") and "nested deeper than 64" in err
+
     @pytest.mark.parametrize("polys", ["z-5", "z^3-2,z^2-3", "z^4-1"])
     def test_contract_never_imports_sympy(self, polys):
         argv = ["contract", *polys.split(",")]
@@ -690,6 +733,20 @@ class TestRelation:
                           "--kind", "verified", "--provenance", provenance)
         assert got == code
         assert ("rule checked" in store.read_text()) == (code == 0)
+
+    @pytest.mark.parametrize("rule_id, provenance", [("a b", "cited"), ("extra", "two words")])
+    def test_add_refuses_what_the_store_cannot_read_back(self, capsys, tmp_path, rule_id,
+                                                          provenance):
+        store = tmp_path / "my.store"
+        store.write_text("ramcalc-rules 1\n")
+        code, out, err = run(capsys, "relation", "add", "--store", str(store),
+                             "--id", rule_id, "--source", "C(2n)", "--target", "C(4n)",
+                             "--kind", "axiom", "--provenance", provenance)
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "one nonempty token" in err
+        assert store.read_bytes() == b"ramcalc-rules 1\n"
+        code, _, err = run(capsys, "relation", "query", "--store", str(store), "C(2)", "C(4)")
+        assert (code, err) == (1, "")
 
     def test_add_axiom(self, capsys, tmp_path):
         store = tmp_path / "my.store"

@@ -19,6 +19,8 @@ from ramcalc.contract import (
 )
 from ramcalc.exact import QQ, Poly, _is_squarefree_qq, cyclotomic, squarefree_part
 
+from helpers import from_roots
+
 
 class TestSplitDegree:
     def test_examples(self):
@@ -73,9 +75,9 @@ class TestSquarefreeCheck:
     def test_modular_route_agrees_with_exact_route(self):
         cases = [
             Poly(QQ, [-2, 0, 0, 1]),
-            Poly.from_roots(QQ, [1, 1, 2]),
-            Poly.from_roots(QQ, [Fraction(1, 3), -5]) * cyclotomic(5),
-            Poly.from_roots(QQ, [2, 2]),
+            from_roots([1, 1, 2]),
+            from_roots([Fraction(1, 3), -5]) * cyclotomic(5),
+            from_roots([2, 2]),
         ]
         for p in cases:
             exact = squarefree_part(p).degree == p.degree

@@ -119,8 +119,7 @@ def doubling_certificate():
         ("unramified", "u2", "f6f10", "F2"),
         ("conclude", "A", "B"),
     ]
-    return DiagramCertificate("test-doubling", ["A", "P1", "E", "Ec", "Q1", "B"],
-                              claims, ("A", "B"))
+    return DiagramCertificate("test-doubling", ["A", "P1", "E", "Ec", "Q1", "B"], claims)
 
 
 class TestCertificates:
@@ -141,14 +140,14 @@ class TestCertificates:
                 bad_claims.append(("compose", wrong, c[2], c[3]))
             else:
                 bad_claims.append(c)
-        bad = DiagramCertificate(cert.name, cert.nodes, bad_claims, cert.conclusion)
+        bad = DiagramCertificate(cert.name, cert.nodes, bad_claims)
         report = verify_certificate(bad, (1, 2))
         assert not report.passed
 
     def test_assumptions_never_count_as_pass(self):
         cert = doubling_certificate()
         claims = [("assume", "extra", "an uncheckable geometric input")] + list(cert.claims)
-        with_assume = DiagramCertificate(cert.name, cert.nodes, claims, cert.conclusion)
+        with_assume = DiagramCertificate(cert.name, cert.nodes, claims)
         report = verify_certificate(with_assume, (1,))
         assert report.passed
         assert ("extra", "an uncheckable geometric input") in report.assumptions
@@ -162,12 +161,12 @@ class TestCertificates:
         # every node reached from A: the lies-over graph's closure
         for target in ("A", "P1", "E", "Ec", "Q1", "B"):
             claims = list(cert.claims[:-1]) + [("conclude", "A", target)]
-            report = verify_certificate(DiagramCertificate(cert.name, cert.nodes, claims, None), (1,))
+            report = verify_certificate(DiagramCertificate(cert.name, cert.nodes, claims), (1,))
             assert report.verdicts[-1].status == "pass", target
         # nothing lies back over A
         for source in ("B", "Ec", "E", "P1"):
             claims = list(cert.claims[:-1]) + [("conclude", source, "A")]
-            report = verify_certificate(DiagramCertificate(cert.name, cert.nodes, claims, None), (1,))
+            report = verify_certificate(DiagramCertificate(cert.name, cert.nodes, claims), (1,))
             assert report.verdicts[-1].status == "fail" and not report.passed, source
 
     def test_conclusion_needs_passing_claims(self):
@@ -183,7 +182,7 @@ class TestCertificates:
     def test_project_without_unramified_pair_derives_nothing(self):
         cert = doubling_certificate()
         claims = [c for c in cert.claims if c[:2] != ("unramified", "u1")]
-        report = verify_certificate(DiagramCertificate(cert.name, cert.nodes, claims, None), (1,))
+        report = verify_certificate(DiagramCertificate(cert.name, cert.nodes, claims), (1,))
         assert report.verdicts[-1].status == "fail"
 
     def test_conclusion_naming_undeclared_node_rejected(self):
@@ -192,12 +191,12 @@ class TestCertificates:
         cert = doubling_certificate()
         claims = list(cert.claims[:-1]) + [("conclude", "A", "Nowhere")]
         with pytest.raises(CertificateError, match="unknown nodes"):
-            verify_certificate(DiagramCertificate(cert.name, cert.nodes, claims, None), (1,))
+            verify_certificate(DiagramCertificate(cert.name, cert.nodes, claims), (1,))
 
     def test_unramified_needs_a_common_target(self):
         cert = doubling_certificate()
         claims = list(cert.claims) + [("unramified", "u3", "f1", "F2")]
-        report = verify_certificate(DiagramCertificate(cert.name, cert.nodes, claims, None), (1,))
+        report = verify_certificate(DiagramCertificate(cert.name, cert.nodes, claims), (1,))
         verdict = report.verdicts[-1]
         assert verdict.status == "fail" and verdict.details[0] == "f1 covers P1, F2 covers Q1"
 
@@ -206,7 +205,7 @@ class TestCertificates:
 
         cert = doubling_certificate()
         claims = list(cert.claims) + [("unramified", "u3", "nope", "F2")]
-        bad = DiagramCertificate(cert.name, cert.nodes, claims, cert.conclusion)
+        bad = DiagramCertificate(cert.name, cert.nodes, claims)
         with pytest.raises(CertificateError):
             verify_certificate(bad, (1,))
 

@@ -12,8 +12,6 @@ from ramcalc.manifest import (
     MAX_DEGREE,
     ManifestError,
     bundled_text,
-    load_bundled_cert,
-    load_bundled_chain,
     parse_cert,
     parse_chain,
     parse_point,
@@ -137,12 +135,12 @@ class TestBundledChains:
 
     @pytest.mark.parametrize("name", CHAIN_FILES)
     def test_verifies(self, name):
-        report = verify_chain(load_bundled_chain(name))
+        report = verify_chain(parse_chain(bundled_text(name)))
         assert report.passed
         assert report.bound_ok
 
     def test_step_outputs_feed_next_step(self):
-        m = load_bundled_chain("prop9.chain")
+        m = parse_chain(bundled_text("prop9.chain"))
         # the verifier re-derives each output set; a passing report means
         # every claimed handoff matched, so here we just check the shape
         assert [s.name for s in m.steps] == [f"f{i}" for i in range(2, 10)]
@@ -188,13 +186,13 @@ class TestBundledCertificates:
 
     @pytest.mark.parametrize("name", CERT_FILES)
     def test_discharges_at_bundled_instances(self, name):
-        m = load_bundled_cert(name)
+        m = parse_cert(bundled_text(name))
         report = verify_certificate(m.certificate, m.instances)
         assert report.passed
 
     def test_instances_cover_required_values(self):
         for name in CERT_FILES:
-            assert set(load_bundled_cert(name).instances) >= {1, 2, 3, 6}
+            assert set(parse_cert(bundled_text(name)).instances) >= {1, 2, 3, 6}
 
     def test_missing_header_rejected(self):
         with pytest.raises(ManifestError):

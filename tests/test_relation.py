@@ -115,7 +115,7 @@ def _all_divisors(n):
 class TestProvenance:
     def test_axiom_accepted_without_checker(self):
         store = RuleStore()
-        store.add_axiom(rule("a", "C(2n)", "C(4n)"))
+        store.add_rule(rule("a", "C(2n)", "C(4n)"))
         assert len(store) == 1
 
     def test_verified_rule_needs_checker(self):
@@ -142,8 +142,8 @@ class TestProvenance:
 
     def test_duplicates_merge_by_content_hash(self):
         store = RuleStore()
-        store.add_axiom(rule("a", "C(2n)", "C(4n)"))
-        store.add_axiom(rule("a", "C(2n)", "C(4n)"))
+        store.add_rule(rule("a", "C(2n)", "C(4n)"))
+        store.add_rule(rule("a", "C(2n)", "C(4n)"))
         assert len(store) == 1
 
 
@@ -179,16 +179,16 @@ class TestReachability:
 
     def test_unreachable_without_rules(self):
         store = RuleStore()
-        store.add_axiom(rule("d", "C(8n)", "C(16n)"))
-        store.add_axiom(rule("f", "C(55296n)", "C(5n)"))
+        store.add_rule(rule("d", "C(8n)", "C(16n)"))
+        store.add_rule(rule("f", "C(55296n)", "C(5n)"))
         assert store.reachable(CurveNode.curve(6), CurveNode.curve(7), bound=6) is None
 
     def test_monotone_in_rule_set(self):
         small = RuleStore()
-        small.add_axiom(rule("d", "C(2n)", "C(4n)"))
+        small.add_rule(rule("d", "C(2n)", "C(4n)"))
         big = RuleStore()
-        big.add_axiom(rule("d", "C(2n)", "C(4n)"))
-        big.add_axiom(rule("t", "C(2n)", "C(6n)"))
+        big.add_rule(rule("d", "C(2n)", "C(4n)"))
+        big.add_rule(rule("t", "C(2n)", "C(6n)"))
         for target in (8, 16, 32):
             if small.reachable(CurveNode.curve(4), CurveNode.curve(target), bound=8):
                 assert big.reachable(CurveNode.curve(4), CurveNode.curve(target), bound=8)
@@ -208,7 +208,7 @@ class TestEquivalenceClasses:
 
     def test_separate_without_connecting_rules(self):
         store = RuleStore()
-        store.add_axiom(rule("d", "C(8n)", "C(16n)"))
+        store.add_rule(rule("d", "C(8n)", "C(16n)"))
         cls = store.equivalence_classes([CurveNode.curve(5), CurveNode.curve(7)], bound=4)
         assert len(cls) == 2
 
@@ -236,7 +236,7 @@ _nodes = st.one_of(
 def _store(forms):
     store = RuleStore()
     for i, ((src, tgt), k) in enumerate(forms):
-        store.add_axiom(rule(f"r{i}", src, tgt, cond=f"n>={k}"))
+        store.add_rule(rule(f"r{i}", src, tgt, cond=f"n>={k}"))
     return store
 
 
@@ -311,15 +311,15 @@ class TestSearchAgainstReference:
             "edges": sum(map(len, adjacency.values())),
         }
 
-    @given(_stores, _nodes, _nodes, st.integers(1, 4), _caps)
+    @given(_stores, _nodes, _nodes, st.integers(1, 4))
     @settings(max_examples=100, deadline=None)
-    def test_reachable(self, forms, source, target, bound, cap):
+    def test_reachable(self, forms, source, target, bound):
         store = _store(forms)
-        got = store.reachable(source, target, bound=bound, value_cap=cap)
+        got = store.reachable(source, target, bound=bound)
         if source == target:
             assert got is not None and got.steps == []
             return
-        parent, _ = _reference_walk(store, [source], bound, cap or _default_cap(source, target))
+        parent, _ = _reference_walk(store, [source], bound, _default_cap(source, target))
         if target not in parent:
             assert got is None
         else:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ramcalc.exact import QQ, NumberField, Poly, _image_poly
-from ramcalc.manifest import load_bundled_chain, parse_chain, render_chain
+from ramcalc.manifest import bundled_text, parse_chain, render_chain
 from ramcalc.rmap import (
     INF,
     IncompletenessGap,
@@ -15,6 +15,8 @@ from ramcalc.rmap import (
     RationalMap,
     verify_chain,
 )
+
+from helpers import cube_root_of_two_field
 
 
 def rmap(num, den=(1,)):
@@ -50,7 +52,7 @@ FIELDS = [
     NumberField.cyclotomic_field(3),
     NumberField.cyclotomic_field(5),
     NumberField.cyclotomic_field(7),
-    NumberField(Poly(QQ, [-2, 0, 0, 1]), name="a"),
+    cube_root_of_two_field(),
 ]
 FIELD_IDS = ["zeta3", "zeta5", "zeta7", "cbrt2"]
 
@@ -165,7 +167,7 @@ class TestLocalIndexAgreement:
             cases += 1
 
     def test_f9_of_prop9(self):
-        chain = load_bundled_chain("prop9.chain")
+        chain = parse_chain(bundled_text("prop9.chain"))
         (f9,) = [s.map for s in chain.steps if s.name == "f9"]
         K = chain.field
         for x, e in ((1, 32), (0, 27), (10, 8), (16, 3), (INF, 3), (K.gen, 1)):
@@ -194,13 +196,13 @@ class TestRamDivisor:
 
 class TestChainVerification:
     def test_bundled_chain_passes(self):
-        report = verify_chain(load_bundled_chain("prop9.chain"))
+        report = verify_chain(parse_chain(bundled_text("prop9.chain")))
         assert report.passed
         assert all(s.status == "pass" for s in report.steps)
         assert report.bound_ok
 
     def test_tampered_index_fails_with_mismatch(self):
-        text = render_chain(load_bundled_chain("prop9.chain"))
+        text = render_chain(parse_chain(bundled_text("prop9.chain")))
         assert "1:32" in text
         bad = parse_chain(text.replace("1:32", "1:31"))
         report = verify_chain(bad)
@@ -210,7 +212,7 @@ class TestChainVerification:
                                for s in failing for d in s.details)
 
     def test_wrong_claimed_output_is_erratum(self):
-        text = render_chain(load_bundled_chain("prop9.chain"))
+        text = render_chain(parse_chain(bundled_text("prop9.chain")))
         # claim 17 instead of 16 in the f7 output list
         bad = parse_chain(text.replace("out 16 inf 15 0", "out 17 inf 15 0"))
         report = verify_chain(bad)
@@ -219,7 +221,7 @@ class TestChainVerification:
 
     def test_composite_indices_multiply_along_orbits(self):
         K = NumberField.cyclotomic_field(5)
-        report = verify_chain(load_bundled_chain("prop9.chain"))
+        report = verify_chain(parse_chain(bundled_text("prop9.chain")))
         assert all(i > 1 for i in report.composite_indices)
         # every composite index divides the recorded bound
         assert all(report.bound % i == 0 for i in report.composite_indices)

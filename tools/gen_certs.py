@@ -54,7 +54,7 @@ def build_prop7a():
         ("unramified", "f13", "f6f10", "F2"),
         ("conclude", "X8n", "X16n"),
     ]
-    cert = DiagramCertificate("torsion-level-doubling", nodes, claims, ("X8n", "X16n"))
+    cert = DiagramCertificate("torsion-level-doubling", nodes, claims)
     return CertificateManifest(cert, "n", INSTANCES, [f1, F1, f10, f6, f6f10, F2])
 
 
@@ -101,7 +101,7 @@ def build_prop7b():
         ("unramified", "f14", "f8f11", "f13"),
         ("conclude", "X16n", "X24n"),
     ]
-    cert = DiagramCertificate("torsion-level-three-halves", nodes, claims, ("X16n", "X24n"))
+    cert = DiagramCertificate("torsion-level-three-halves", nodes, claims)
     return CertificateManifest(
         cert, "n", INSTANCES, [f1, F1, f10, f6, f6f10, f7, f11, f8, f8f11, f13]
     )
@@ -136,7 +136,7 @@ def build_big_drop(name, nodes_tag, c_bound, prime_deg, src_label, tgt_label):
         ("unramified", "f8", "f3f6", "f4"),
         ("conclude", src_label, tgt_label),
     ]
-    cert = DiagramCertificate(name, nodes, claims, (src_label, tgt_label))
+    cert = DiagramCertificate(name, nodes, claims)
     return CertificateManifest(cert, "n", INSTANCES, [f1, f2, f6, f3, f3f6, f4])
 
 
@@ -169,7 +169,7 @@ def build_prop6():
         ("unramified", "c2", "g8g3", "g6"),
         ("conclude", "H", "X8"),
     ]
-    cert = DiagramCertificate("hyperelliptic-to-level-eight", nodes, claims, ("H", "X8"))
+    cert = DiagramCertificate("hyperelliptic-to-level-eight", nodes, claims)
     return CertificateManifest(cert, "n", INSTANCES, [g4, g5, g3, g8, g8g3, g6])
 
 
@@ -216,7 +216,7 @@ def build_thm30():
         ("unramified", "f13", "f8f12", "f15"),
         ("conclude", "E1", "Xm"),
     ]
-    cert = DiagramCertificate("isogeny-tower-transfer", nodes, claims, ("E1", "Xm"))
+    cert = DiagramCertificate("isogeny-tower-transfer", nodes, claims)
     return CertificateManifest(
         cert, "n", INSTANCES, [f3, f2m, f4, f5, f5f4, f6, f10, f7m, f12, f8, f8f12, f15]
     )
@@ -236,7 +236,7 @@ def build_thm32():
         ("project", f3, "f1", "f4", ["0"]),
         ("conclude", "X12n", "Y6"),
     ]
-    cert = DiagramCertificate("level-six-descent", nodes, claims, ("X12n", "Y6"))
+    cert = DiagramCertificate("level-six-descent", nodes, claims)
     return CertificateManifest(cert, "n", INSTANCES, [f1, f4, f3])
 
 
