@@ -14,10 +14,12 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from . import __version__
 from .belyi import (
+    MAX_BELYI_SUPPORT_SIZE,
     BelyiTuple,
     NotBelyiForm,
     exponent_factorizations,
@@ -34,7 +36,7 @@ from .contract import (
     verify_contraction,
 )
 from .cover import rh_genus, standard_projection_profile, verify_certificate
-from .exact import BACKEND, Poly, check_prime
+from .exact import BACKEND, Poly, check_prime, excerpt
 from .manifest import (
     CERT_HEADER,
     CHAIN_HEADER,
@@ -43,7 +45,6 @@ from .manifest import (
     parse_cert,
     parse_chain,
     parse_poly,
-    render_point,
 )
 from .relation import (
     DEFAULT_BOUND,
@@ -71,10 +72,6 @@ MAX_GENUS_INDEX = 10 ** 5
 # `belyi search` tries comb(box, k - 1) supports: near 10^5 a run takes
 # 1 s (k = 3) to 4.5 s (k = 6) on a 2-vCPU host
 MAX_BELYI_SUPPORTS = 10 ** 5
-# `belyi exponents` and `belyi verify` expand a k-term logarithmic
-# derivative numerator: k = 32 takes 0.2-0.35 s on a 2-vCPU host, and
-# k = 100 takes 7 s
-MAX_BELYI_SUPPORT_SIZE = 32
 
 
 class UsageError(ValueError):
@@ -101,7 +98,7 @@ def _parse_primes(s: str) -> tuple:
     try:
         primes = tuple(sorted({int(p) for p in s.split(",") if p.strip()}))
     except ValueError:
-        raise UsageError(f"bad prime list {s!r}")
+        raise UsageError(f"bad prime list {excerpt(s)!r}")
     for p in primes:
         check_prime(p)
     return primes
@@ -111,7 +108,7 @@ def _parse_rationals(s: str) -> list:
     try:
         return [Fraction(x) for x in s.replace(",", " ").split()]
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"bad rational list {s!r}")
+        raise UsageError(f"bad rational list {excerpt(s)!r}")
 
 
 def _parse_support(s: str) -> list:
@@ -135,7 +132,7 @@ def _parse_param_instances(param: str) -> tuple:
     try:
         return tuple(int(v) for v in values.split(","))
     except ValueError:
-        raise UsageError(f"bad parameter instances {values!r}")
+        raise UsageError(f"bad parameter instances {excerpt(values)!r}")
 
 
 def _chain_report_payload(report) -> dict:
@@ -155,7 +152,7 @@ def _chain_report_payload(report) -> dict:
         "composite_indices": list(report.composite_indices),
         "bound": report.bound,
         "bound_ok": report.bound_ok,
-        "final_points": sorted(render_point(p) for p in report.final_set),
+        "final_points": sorted(str(p) for p in report.final_set),
     }
 
 
@@ -215,7 +212,7 @@ def _verify_text(text: str, param=None):
         manifest = parse_cert(text)
         instances = _parse_param_instances(param) if param else manifest.instances
         return verify_certificate(manifest.certificate, instances)
-    raise ManifestError(f"unrecognized manifest header {header!r}")
+    raise ManifestError(f"unrecognized manifest header {excerpt(header)!r}")
 
 
 def cmd_verify(args) -> int:
@@ -350,9 +347,9 @@ def _parse_poly_expr(s: str) -> Poly:
     try:
         p = parse_poly(s)
     except ManifestError as exc:
-        raise UsageError(f"cannot parse polynomial {s!r}: {exc}")
+        raise UsageError(f"cannot parse polynomial {excerpt(s)!r}: {exc}")
     if p.degree < 1:
-        raise UsageError(f"polynomial {s!r} is constant")
+        raise UsageError(f"polynomial {excerpt(s)!r} is constant")
     return p
 
 
@@ -413,11 +410,11 @@ def _parse_curve_node(s: str) -> CurveNode:
     p = NodePattern.parse(s)
     if p.form == "const":
         if p.coeff > MAX_CURVE_LEVEL:
-            raise UsageError(f"level of {s!r} is above {MAX_CURVE_LEVEL}")
+            raise UsageError(f"level of {excerpt(s)!r} is above {MAX_CURVE_LEVEL}")
         return CurveNode.curve(p.coeff)
     if p.form == "class":
         return CurveNode.named(p.name)
-    raise UsageError(f"node {s!r} must be concrete (C(<int>) or a class name)")
+    raise UsageError(f"node {excerpt(s)!r} must be concrete (C(<int>) or a class name)")
 
 
 def _trace_payload(trace) -> dict:
@@ -575,7 +572,10 @@ def cmd_genus(args) -> int:
 # parser
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: it holds no state
+    between calls, and building it takes milliseconds."""
     ap = argparse.ArgumentParser(
         prog="ramcalc",
         description="exact verification toolkit for ramification chains, "

@@ -44,15 +44,6 @@ class RationalField:
     def one(self):
         return RAT(1)
 
-    def __repr__(self):
-        return "QQ"
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("ramcalc.QQ")
-
 
 QQ = RationalField()
 
@@ -566,11 +557,21 @@ def is_smooth(n: int, primes: Iterable[int]) -> bool:
 # listed primes are checked by trial division, under a second up to here
 MAX_LISTED_PRIME = 10 ** 12
 
+# the most characters of outside input an error message repeats
+MAX_EXCERPT = 60
+
+
+def excerpt(text: str) -> str:
+    """text, or its first MAX_EXCERPT characters and '...' when it is
+    longer: an error line that quotes an argument stays short however
+    long the argument is."""
+    return text if len(text) <= MAX_EXCERPT else text[:MAX_EXCERPT] + "..."
+
 
 def check_prime(p: int) -> None:
     """ValueError unless p is a prime no larger than MAX_LISTED_PRIME."""
     if p > MAX_LISTED_PRIME:
-        raise ValueError(f"{p} in the prime list is above {MAX_LISTED_PRIME}")
+        raise ValueError(f"{excerpt(str(p))} in the prime list is above {MAX_LISTED_PRIME}")
     if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
         raise ValueError(f"{p} in the prime list is not a prime")
 
@@ -586,10 +587,9 @@ class NumberField:
     whose irreducibility is Gauss's theorem.
     """
 
-    def _setup(self, minpoly: Poly, name: str):
+    def _setup(self, minpoly: Poly):
         self.minpoly = minpoly
         self._minpoly_ints = minpoly.int_form()[0]
-        self.name = name
         self.degree = minpoly.degree
         self.cyclotomic_index = None
 
@@ -599,7 +599,7 @@ class NumberField:
         irreducible over Q, and `cyclotomic` checks that its result is
         Phi_n."""
         fld = NumberField.__new__(NumberField)
-        fld._setup(cyclotomic(n), "t")
+        fld._setup(cyclotomic(n))
         fld.cyclotomic_index = n
         return fld
 
@@ -635,13 +635,10 @@ class NumberField:
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.minpoly.coeffs == other.minpoly.coeffs
 
-    def __hash__(self):
-        return hash(("ramcalc.NumberField", self.minpoly.coeffs))
-
     def __repr__(self):
         if self.cyclotomic_index:
             return f"Q(zeta_{self.cyclotomic_index})"
-        return f"Q[{self.name}]/({self.minpoly!r})"
+        return f"Q[t]/({self.minpoly!r})"
 
 
 class NumberFieldElement:
@@ -744,7 +741,9 @@ class NumberFieldElement:
         return self.field == other.field and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        # the keys of one table share a field, and hashing it would hash
+        # its minimal polynomial on every lookup
+        return hash(self.coeffs)
 
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
@@ -755,18 +754,19 @@ class NumberFieldElement:
         return self.coeffs[0]
 
     def __repr__(self):
-        name = self.field.name
-        terms = []
+        """The element in manifest syntax, a polynomial in t such as
+        -1-t^2+3/2*t^3; a point prints this way wherever it is named."""
+        out = ""
         for i, c in enumerate(self.coeffs):
             if not c:
                 continue
             if i == 0:
-                terms.append(f"{c}")
-            elif i == 1:
-                terms.append(f"{c}*{name}" if c != 1 else name)
+                term = str(c)
             else:
-                terms.append(f"{c}*{name}^{i}" if c != 1 else f"{name}^{i}")
-        return " + ".join(terms) if terms else "0"
+                power = "t" if i == 1 else f"t^{i}"
+                term = power if c == 1 else f"-{power}" if c == -1 else f"{c}*{power}"
+            out += term if not out or term.startswith("-") else "+" + term
+        return out or "0"
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional
 
-from .exact import NumberField, NumberFieldElement, Poly, QQ, RationalField, check_prime
+from .belyi import MAX_BELYI_SUPPORT_SIZE
+from .exact import NumberField, Poly, QQ, RationalField, check_prime, excerpt
 from .rmap import INF, RationalMap, is_inf
 from .cover import Arrow, DiagramCertificate, Fiber, ParamIndex
 
@@ -48,7 +49,7 @@ def _tokenize(s: str):
     while pos < len(s):
         m = _TOKEN_RE.match(s, pos)
         if not m:
-            raise ManifestError(f"bad character in expression {s!r} at {pos}")
+            raise ManifestError(f"bad character in expression {excerpt(s)!r} at {pos}")
         out.append(m.group(1))
         pos = m.end()
     return out
@@ -88,7 +89,7 @@ class _ExprParser:
     def parse(self):
         v = self.expr()
         if self.peek() is not None:
-            raise ManifestError(f"trailing tokens near {self.peek()!r}")
+            raise ManifestError(f"trailing tokens near {excerpt(self.peek())!r}")
         return v
 
     def expr(self):
@@ -149,7 +150,7 @@ class _ExprParser:
                 raise ManifestError("unbalanced parenthesis")
             self.depth -= 1
             return v
-        raise ManifestError(f"unexpected token {tok!r}")
+        raise ManifestError(f"unexpected token {excerpt(tok)!r}")
 
 
 def parse_point(field, s: str):
@@ -167,36 +168,6 @@ def parse_poly(s: str) -> Poly:
     MAX_DEGREE."""
     v = _ExprParser(QQ, {"z": Poly(QQ, [0, 1])}, _tokenize(s.strip())).parse()
     return v if isinstance(v, Poly) else Poly(QQ, [v])
-
-
-def render_point(p) -> str:
-    if is_inf(p):
-        return "inf"
-    if isinstance(p, NumberFieldElement):
-        return _render_nfe(p)
-    return str(Fraction(p))
-
-
-def _render_coeff_monomial(c, i: int) -> str:
-    c = Fraction(c)
-    if i == 0:
-        return str(c)
-    power = "t" if i == 1 else f"t^{i}"
-    if c == 1:
-        return power
-    if c == -1:
-        return f"-{power}"
-    return f"{c}*{power}"
-
-
-def _render_nfe(p: NumberFieldElement) -> str:
-    terms = [_render_coeff_monomial(c, i) for i, c in enumerate(p.coeffs) if c]
-    if not terms:
-        return "0"
-    out = terms[0]
-    for t in terms[1:]:
-        out += t if t.startswith("-") else "+" + t
-    return out
 
 
 def _render_field_spec(field) -> str:
@@ -248,18 +219,18 @@ def render_chain(m: ChainManifest) -> str:
         lines.append(f"bound {m.bound}")
     if m.bound_primes is not None:
         lines.append("bound-primes " + " ".join(str(p) for p in m.bound_primes))
-    lines.append("start " + " ".join(f"{render_point(p)}:{i}" for p, i in m.start))
+    lines.append("start " + " ".join(f"{p}:{i}" for p, i in m.start))
     for step in m.steps:
         lines.append(f"step {step.name} {step.kind}")
         if step.kind == "belyi":
-            lines.append("support " + " ".join(str(Fraction(q)) for q in step.support))
+            lines.append("support " + " ".join(str(q) for q in step.support))
             lines.append("exponents " + " ".join(str(r) for r in step.exponents))
         else:
-            lines.append("num " + " ".join(render_point(c) for c in step.map.num.coeffs))
-            lines.append("den " + " ".join(render_point(c) for c in step.map.den.coeffs))
+            lines.append("num " + " ".join(str(c) for c in step.map.num.coeffs))
+            lines.append("den " + " ".join(str(c) for c in step.map.den.coeffs))
         if step.ram:
-            lines.append("ram " + " ".join(f"{render_point(p)}:{i}" for p, i in step.ram))
-        lines.append("out " + " ".join(render_point(p) for p in step.out))
+            lines.append("ram " + " ".join(f"{p}:{i}" for p, i in step.ram))
+        lines.append("out " + " ".join(str(p) for p in step.out))
     return "\n".join(lines) + "\n"
 
 
@@ -273,7 +244,7 @@ def _parse_coeffs(rest: str) -> Poly:
         try:
             coeffs.append(parse_point(QQ, c))
         except ManifestError as exc:
-            raise ManifestError(f"map coefficient {c!r} is not rational: {exc}") from None
+            raise ManifestError(f"map coefficient {excerpt(c)!r} is not rational: {exc}") from None
     if any(is_inf(c) for c in coeffs):
         raise ManifestError("inf is not a coefficient")
     return Poly(QQ, coeffs)
@@ -338,8 +309,13 @@ def parse_chain(text: str) -> ChainManifest:
         elif key in _STEP_KEYS and current is None:
             raise ManifestError(f"{key} line outside a step")
         elif key == "support":
+            entries = rest.split()
+            if len(entries) > MAX_BELYI_SUPPORT_SIZE:
+                raise ManifestError(
+                    f"support of size {len(entries)} is above {MAX_BELYI_SUPPORT_SIZE}"
+                )
             try:
-                current.support = tuple(Fraction(q) for q in rest.split())
+                current.support = tuple(Fraction(q) for q in entries)
             except ZeroDivisionError:
                 raise ManifestError("division by zero") from None
         elif key == "exponents":

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional
 
-from .exact import factor_int
+from .exact import excerpt, factor_int
 
 STORE_HEADER = "ramcalc-rules 1"
 DEFAULT_BOUND = 64
@@ -88,14 +88,14 @@ class NodePattern:
         if not m:
             if re.match(r"^[A-Za-z][A-Za-z0-9_-]*$", s):
                 return NodePattern("class", name=s)
-            raise StoreFormatError(f"bad node pattern {s!r}")
+            raise StoreFormatError(f"bad node pattern {excerpt(s)!r}")
         if m.group(4):
             return NodePattern("divisor")
         if m.group(3):
             return NodePattern("monomial", coeff=1)
         coeff = int(m.group(1))
         if coeff == 0:
-            raise StoreFormatError(f"bad node pattern {s!r}: coefficient must be >= 1")
+            raise StoreFormatError(f"bad node pattern {excerpt(s)!r}: coefficient must be >= 1")
         if m.group(2):
             return NodePattern("monomial", coeff=coeff)
         return NodePattern("const", coeff=coeff)

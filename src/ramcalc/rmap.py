@@ -8,7 +8,6 @@ element of K, or the point at infinity.  All computations are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from typing import Iterable, Optional
 
 from .exact import (
@@ -25,7 +24,8 @@ from .exact import (
 
 
 class Infinity:
-    """The point at infinity on the projective line (a singleton)."""
+    """The point at infinity on the projective line: a singleton, so it
+    equals and hashes as itself."""
 
     _instance = None
 
@@ -36,12 +36,6 @@ class Infinity:
 
     def __repr__(self):
         return "inf"
-
-    def __eq__(self, other):
-        return isinstance(other, Infinity)
-
-    def __hash__(self):
-        return hash("ramcalc.inf")
 
 
 INF = Infinity()
@@ -57,7 +51,7 @@ class VerificationError(Exception):
 
 class IndexMismatch(VerificationError):
     def __init__(self, point, claimed, actual):
-        super().__init__(f"index at {point!r}: claimed {claimed}, actual {actual}")
+        super().__init__(f"index at {point}: claimed {claimed}, actual {actual}")
 
 
 class IncompletenessGap(VerificationError):
@@ -175,10 +169,9 @@ class RationalMap:
         claimed = list(claimed)
         seen = set()
         for rp in claimed:
-            key = ("inf",) if is_inf(rp.point) else rp.point
-            if key in seen:
-                raise ValueError(f"duplicate claimed point {rp.point!r}")
-            seen.add(key)
+            if rp.point in seen:
+                raise ValueError(f"duplicate claimed point {rp.point}")
+            seen.add(rp.point)
         total = 0
         for rp in claimed:
             actual = self.local_index(rp.point)
@@ -217,14 +210,6 @@ class ChainReport:
         return all(s.status == "pass" for s in self.steps) and self.bound_ok is not False
 
 
-def _point_key(p):
-    if is_inf(p):
-        return ("inf",)
-    if isinstance(p, NumberFieldElement):
-        return ("nfe", p.coeffs)
-    return ("q", Fraction(p))
-
-
 def verify_chain(manifest) -> ChainReport:
     """Verify a chain manifest step by step.
 
@@ -245,9 +230,9 @@ def verify_chain(manifest) -> ChainReport:
         # tracked point is held in the chain's field
         return pt if is_inf(pt) else field.coerce(pt)
 
-    tracked: dict = {}
+    tracked: dict = {}  # point -> composite indices reaching it
     for pt, idx in manifest.start:
-        tracked.setdefault(_point_key(pt), [pt, set()])[1].add(idx)
+        tracked.setdefault(pt, set()).add(idx)
     reports = []
     for step in manifest.steps:
         rep = ChainStepReport(name=step.name, status="pass")
@@ -257,13 +242,13 @@ def verify_chain(manifest) -> ChainReport:
             else:
                 move, branch, note = _map_step(step)
             pushed = []
-            for pt, idxs in tracked.values():
+            for pt, idxs in tracked.items():
                 img, e = move(pt)
                 pushed.append((coerce(img), {a * e for a in idxs}))
             pushed += [(coerce(img), {e}) for img, e in branch]
             new_tracked: dict = {}
             for img, indices in pushed:
-                new_tracked.setdefault(_point_key(img), [img, set()])[1].update(indices)
+                new_tracked.setdefault(img, set()).update(indices)
             _claimed_set_check(step.out, new_tracked, rep)
             if note:
                 rep.details.append(note)
@@ -272,18 +257,17 @@ def verify_chain(manifest) -> ChainReport:
             rep.status = "fail"
             rep.details.append(str(exc))
         reports.append(rep)
-    composite = sorted({i for _, (pt, idxs) in tracked.items() for i in idxs})
+    composite = sorted({i for idxs in tracked.values() for i in idxs})
     bound_ok = None
     if manifest.bound is not None:
         bound_ok = all(manifest.bound % i == 0 for i in composite)
     if manifest.bound_primes is not None:
         primes_ok = all(is_smooth(i, manifest.bound_primes) for i in composite if i > 1)
         bound_ok = primes_ok if bound_ok is None else (bound_ok and primes_ok)
-    final = [pt for pt, idxs in tracked.values()]
     return ChainReport(
         name=manifest.name,
         steps=reports,
-        final_set=final,
+        final_set=list(tracked),
         composite_indices=composite,
         bound_ok=bound_ok,
         bound=manifest.bound,
@@ -291,11 +275,11 @@ def verify_chain(manifest) -> ChainReport:
 
 
 def _claimed_set_check(claimed_points, new_tracked, rep):
-    claimed_keys = {_point_key(p) for p in claimed_points}
-    got_keys = set(new_tracked)
-    if claimed_keys != got_keys:
-        missing = claimed_keys - got_keys
-        extra = got_keys - claimed_keys
+    claimed = set(claimed_points)
+    got = set(new_tracked)
+    if claimed != got:
+        missing = claimed - got
+        extra = got - claimed
         rep.status = "fail"
         rep.erratum = True
         rep.details.append(
@@ -333,7 +317,7 @@ def _belyi_step(step):
         verification = verify_belyi(t)
     except NotBelyiForm as exc:
         raise VerificationError(f"step {step.name}: {exc}")
-    support = {QQ.coerce(n): r for n, r in zip(t.support, t.exponents)}
+    support = dict(zip(t.support, t.exponents))
     k = len(t.support)
 
     def move(pt):
@@ -342,13 +326,13 @@ def _belyi_step(step):
         if isinstance(pt, NumberFieldElement):
             if not pt.is_rational():
                 raise VerificationError(
-                    f"step {step.name}: belyi-form step needs rational points, got {pt!r}"
+                    f"step {step.name}: belyi-form step needs rational points, got {pt}"
                 )
             pt = pt.as_rational()
-        r = support.get(QQ.coerce(pt))
+        r = support.get(pt)
         if r is None:
             raise VerificationError(
-                f"step {step.name}: tracked point {pt!r} outside the belyi support"
+                f"step {step.name}: tracked point {pt} outside the belyi support"
             )
         if r > 0:
             return QQ.zero, r

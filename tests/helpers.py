@@ -20,5 +20,5 @@ def cube_root_of_two_field() -> NumberField:
     a = sympy.Symbol("a")
     assert sympy.Poly(a ** 3 - 2, a, domain="QQ").is_irreducible
     K = NumberField.__new__(NumberField)
-    K._setup(Poly(QQ, [-2, 0, 0, 1]), "a")
+    K._setup(Poly(QQ, [-2, 0, 0, 1]))
     return K

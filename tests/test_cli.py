@@ -90,6 +90,52 @@ class TestVerify:
         assert code == 1
         assert "claimed 31" in out and "actual 32" in out
 
+    INLINE_CHAIN = (
+        "ramcalc-chain 1\nname inline\nfield rational\nstart 1:2 1/2:2\n"
+        "step f map\nnum 1 0 1\nden 0 1\nram 1:2 -1:3\nout 2 -2 inf 5/2\n"
+        "step g map\nnum 0 0 1\nden 1\nram 0:2 inf:2\nout 4 7\n"
+    )
+
+    def test_failure_details_name_points_in_manifest_syntax(self, capsys, tmp_path):
+        p = tmp_path / "inline.chain"
+        p.write_text(self.INLINE_CHAIN)
+        code, out, _ = run(capsys, "verify", str(p), "--json", "--deterministic")
+        assert code == 1
+        steps = json.loads(out)["steps"]
+        assert steps[0]["details"] == ["index at -1: claimed 3, actual 2"]
+        assert steps[1]["details"] == [
+            "claimed output set disagrees with recomputation: "
+            "missing=['4', '7'] extra=['0', '1', '1/4', 'inf']"
+        ]
+
+    @staticmethod
+    def _mutants(name):
+        """(label, text) of chain variants with one wrong claim each: the
+        last claimed ramification index raised by one, and, on each out
+        line in turn, one point replaced by a rational no step yields."""
+        lines = bundled_text(name).splitlines()
+        rows = [i for i, ln in enumerate(lines) if ln.startswith(("ram ", "out "))]
+        ram = [i for i in rows if lines[i].startswith("ram ")][-1]
+        point, _, index = lines[ram].rpartition(":")
+        yield "ram", lines[:ram] + [f"{point}:{int(index) + 1}"] + lines[ram + 1:]
+        for i in rows:
+            if lines[i].startswith("out "):
+                entries = lines[i].split()
+                entries[1 + i % (len(entries) - 1)] = f"{i + 1}/101"
+                yield f"out{i}", lines[:i] + [" ".join(entries)] + lines[i + 1:]
+
+    @pytest.mark.parametrize("name", ["prop9.chain", "prop12.chain", "prop14.chain"])
+    def test_mutant_reports_hold_no_python_repr(self, capsys, tmp_path, name):
+        for label, lines in self._mutants(name):
+            p = tmp_path / f"{label}-{name}"
+            p.write_text("\n".join(lines) + "\n")
+            for flags in ((), ("--json", "--deterministic")):
+                code, out, err = run(capsys, "verify", str(p), *flags)
+                assert (code, err) == (1, ""), label
+                assert "fail" in out, label
+                for token in ("Fraction(", "mpq(", "'nfe'", "('q'", "('inf'"):
+                    assert token not in out, (label, token)
+
     def test_leading_blank_lines_before_header(self, capsys, tmp_path):
         p = tmp_path / "blank.cert"
         p.write_text("\n  \n" + bundled_text("prop7a.cert"))
@@ -106,6 +152,8 @@ class TestVerify:
             ("field rational\nbound-primes 2 4", "4 in the prime list is not a prime"),
             ("field rational\nbound 0", "bound must be at least 1: 0"),
             ("field cyclotomic 65", "cyclotomic index above 64"),
+            ("field rational\nstep b belyi\nsupport " + " ".join(map(str, range(33))),
+             "support of size 33 is above 32"),
         ],
     )
     def test_chain_bounds_exit_two(self, capsys, tmp_path, lines, message):
@@ -266,6 +314,41 @@ print(len(paths), codes.count(0), "sympy" in sys.modules)
         code, out, err = run(capsys, "verify", str(p))
         assert code == 2
         assert out == "" and err == "error: map coefficient 't' is not rational: unexpected token 't'\n"
+
+
+class TestErrorLines:
+    LONG = 100_000
+
+    @pytest.mark.parametrize("argv", [
+        ["contract", "$" * LONG],
+        ["contract", "z" * LONG],
+        ["contract", "z^2-2" + "$" * LONG],
+        ["sunit", "smooth", "--primes", "x" * LONG, "--height", "10"],
+        ["sunit", "smooth", "--primes", "9" * LONG, "--height", "10"],
+        ["belyi", "exponents", "x" * LONG],
+        ["relation", "query", "C(" + "1" * LONG + ")", "C(4)"],
+        ["relation", "query", "Q" * LONG + "$", "C(4)"],
+    ], ids=["contract-character", "contract-token", "contract-tail", "sunit-list",
+            "sunit-prime", "belyi-list", "relation-level", "relation-pattern"])
+    def test_long_argument_gives_short_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err.encode()) < 300
+
+    def test_short_argument_quoted_whole(self, capsys):
+        code, _, err = run(capsys, "contract", "z^2-2$")
+        assert code == 2
+        assert err == ("error: cannot parse polynomial 'z^2-2$': "
+                       "bad character in expression 'z^2-2$' at 5\n")
+
+
+class TestParser:
+    def test_built_once_per_process(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        assert run(capsys, "genus", "5")[:2] == (0, "2\n")
+        assert run(capsys, "genus", "2")[0] == 2
+        assert run(capsys, "genus", "7", "--json")[:2] == (0, '{"genus":3,"n":7}\n')
 
 
 class TestVersion:

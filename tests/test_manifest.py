@@ -18,7 +18,6 @@ from ramcalc.manifest import (
     parse_poly,
     render_cert,
     render_chain,
-    render_point,
 )
 from ramcalc.rmap import INF, verify_chain
 
@@ -37,13 +36,13 @@ CERT_FILES = [
 class TestPointExpressions:
     def test_rational_round_trip(self):
         for s in ("0", "1", "-5", "3/2", "-7/4", "inf"):
-            assert render_point(parse_point(QQ, s)) == s
+            assert str(parse_point(QQ, s)) == s
 
     def test_cyclotomic_round_trip(self):
         K = NumberField.cyclotomic_field(5)
         for s in ("t", "t^2", "-1-t^2-t^3", "1/2", "t+t^4"):
             p = parse_point(K, s)
-            assert parse_point(K, render_point(p)) == p
+            assert parse_point(K, str(p)) == p
 
     def test_arithmetic_in_expressions(self):
         K = NumberField.cyclotomic_field(7)
@@ -153,6 +152,12 @@ class TestBundledChains:
         text = bundled_text("prop9.chain")
         with pytest.raises(ManifestError):
             parse_chain(text.replace("step f2 map", "step f2 sideways"))
+
+    def test_belyi_support_of_32_points_parses(self):
+        support = " ".join(map(str, range(32)))
+        m = parse_chain("ramcalc-chain 1\nname wide\nfield rational\nstart 0:2\n"
+                        f"step b belyi\nsupport {support}\nexponents {' '.join(['1'] * 32)}\n")
+        assert len(m.steps[0].support) == 32
 
     @pytest.mark.parametrize(
         "edit",
