@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
-from .exact import Poly, QQ, _int_vector, factor_over_primes, is_smooth
+from .exact import Poly, QQ, _int_vector, check_prime, factor_over_primes, is_smooth
 
 
 class DegenerateSupport(ValueError):
@@ -154,14 +154,31 @@ def _normalized_supports(k: int, box: int):
 def search_smooth_tuples(k: int, primes: Iterable[int], box: int) -> list[BelyiTuple]:
     """Enumerate normalized supports in the box and keep the smooth ones.
 
-    Output order is lexicographic in the support.
+    The exponents are L / D_i up to sign, L = lcm |D_i|, so for a set P
+    of primes they are all P-smooth exactly when the |D_i| have equal
+    parts prime to P: each support is decided on that test, and only
+    the hits have their exponents computed and checked.  Output order
+    is lexicographic in the support.
     """
     if not 3 <= k <= 7:
         raise ValueError("support size must be between 3 and 7")
     primes = sorted(set(primes))
+    # rough[d] is d with the listed primes divided out; rough[0] = 1
+    # stands for a point's difference with itself
+    rough = [1, *range(1, box + 1)]
+    for p in primes:
+        check_prime(p)
+        for m in range(p, box + 1, p):
+            while rough[m] % p == 0:
+                rough[m] //= p
     results = []
     for sup in _normalized_supports(k, box):
-        exps = vandermonde_exponents(sup)
-        if all(is_smooth(r, primes) for r in exps):
-            results.append(BelyiTuple(sup, exps))
+        first = prod([rough[n] for n in sup])
+        for a in sup[1:]:
+            if prod([rough[abs(a - b)] for b in sup]) != first:
+                break
+        else:
+            exps = vandermonde_exponents(sup)
+            if all(is_smooth(r, primes) for r in exps):
+                results.append(BelyiTuple(sup, exps))
     return results

@@ -36,7 +36,7 @@ from .contract import (
     verify_contraction,
 )
 from .cover import rh_genus, standard_projection_profile, verify_certificate
-from .exact import BACKEND, Poly, check_prime, excerpt
+from .exact import BACKEND, MAX_LISTED_PRIME, Poly, check_prime, excerpt
 from .manifest import (
     CERT_HEADER,
     CHAIN_HEADER,
@@ -70,7 +70,9 @@ MAX_CURVE_LEVEL = 10 ** 18
 # a second, and 10^8 runs out of memory
 MAX_GENUS_INDEX = 10 ** 5
 # `belyi search` tries comb(box, k - 1) supports: near 10^5 a run takes
-# 1 s (k = 3) to 4.5 s (k = 6) on a 2-vCPU host
+# 0.1-0.2 s on a 2-vCPU host with --primes 2,3,5 or 2,3,5,7, where few
+# are hits, and 2.7 s (k = 3) to 5.2 s (k = 6) with every prime up to
+# the box, where nearly all are
 MAX_BELYI_SUPPORTS = 10 ** 5
 
 
@@ -95,8 +97,15 @@ def _read_text(path: str) -> str:
 
 
 def _parse_primes(s: str) -> tuple:
+    entries = [p.strip() for p in s.split(",") if p.strip()]
+    # int() of an entry takes time quadratic in its length, and no
+    # listed prime is longer than MAX_LISTED_PRIME
+    width = len(str(MAX_LISTED_PRIME))
+    for p in entries:
+        if len(p) > width:
+            raise UsageError(f"prime list entry {excerpt(p)!r} is longer than {width} characters")
     try:
-        primes = tuple(sorted({int(p) for p in s.split(",") if p.strip()}))
+        primes = tuple(sorted({int(p) for p in entries}))
     except ValueError:
         raise UsageError(f"bad prime list {excerpt(s)!r}")
     for p in primes:
@@ -293,7 +302,7 @@ def _parse_belyi_file(text: str):
         elif key == "exponents":
             exponents = [int(x) for x in rest.split()]
         else:
-            raise ManifestError(f"unknown belyi-tuple line {ln!r}")
+            raise ManifestError(f"unknown belyi-tuple line {excerpt(ln)!r}")
     if support is None or exponents is None:
         raise ManifestError("belyi-tuple file needs support and exponents lines")
     return BelyiTuple(support, exponents)

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field as dc_field
 from math import gcd, lcm
 from typing import Optional, Sequence
 
+from .exact import excerpt
+
 
 class InconsistentProfile(ValueError):
     pass
@@ -176,7 +178,7 @@ class ParamIndex:
     def parse(s: str) -> "ParamIndex":
         m = _PARAM_RE.match(s.strip())
         if not m:
-            raise ValueError(f"bad parametrized index {s!r}")
+            raise ValueError(f"bad parametrized index {excerpt(s)!r}")
         c = int(m.group(1)) if m.group(1) else 1
         return ParamIndex(c, 1 if m.group(2) else 0)
 
@@ -435,12 +437,12 @@ def verify_certificate(cert: DiagramCertificate, parameter_instances: Sequence[i
 
     def lookup(name: str) -> Arrow:
         if name not in arrows:
-            raise CertificateError(f"claim references unregistered arrow {name!r}")
+            raise CertificateError(f"claim references unregistered arrow {excerpt(name)!r}")
         return arrows[name]
 
     def check_nodes(arrow: Arrow):
         if arrow.source not in nodes or arrow.target not in nodes:
-            raise CertificateError(f"arrow {arrow.name} references unknown nodes")
+            raise CertificateError(f"arrow {excerpt(arrow.name)} references unknown nodes")
 
     def derive(verdict: ClaimVerdict, *edges):
         verdicts.append(verdict)
@@ -454,7 +456,7 @@ def verify_certificate(cert: DiagramCertificate, parameter_instances: Sequence[i
             _, arrow, basis = claim
             check_nodes(arrow)
             if arrow.name in arrows:
-                raise CertificateError(f"duplicate arrow {arrow.name}")
+                raise CertificateError(f"duplicate arrow {excerpt(arrow.name)}")
             arrows[arrow.name] = arrow
             if basis.startswith("assume:"):
                 tag = basis.split(":", 1)[1]
@@ -515,10 +517,10 @@ def verify_certificate(cert: DiagramCertificate, parameter_instances: Sequence[i
             outer, inner = lookup(outer_name), lookup(inner_name)
             inner_specs = list(inner.fibers.values())
             if not inner_specs:
-                raise CertificateError(f"compose {arrow.name}: inner arrow has no fiber claims")
+                raise CertificateError(f"compose {excerpt(arrow.name)}: inner arrow has no fiber claims")
             inner_spec = inner_specs[0]
             if any(s != inner_spec for s in inner_specs):
-                raise CertificateError(f"compose {arrow.name}: inner fiber claims not uniform")
+                raise CertificateError(f"compose {excerpt(arrow.name)}: inner fiber claims not uniform")
             verdict = ClaimVerdict("compose", arrow.name, "pass")
             for z, claimed in arrow.fibers.items():
                 of = outer.fibers.get(z, TRIVIAL_FIBER)
@@ -532,7 +534,7 @@ def verify_certificate(cert: DiagramCertificate, parameter_instances: Sequence[i
         elif kind == "conclude":
             _, source, target = claim
             if source not in nodes or target not in nodes:
-                raise CertificateError(f"conclusion {source} => {target} references unknown nodes")
+                raise CertificateError(f"conclusion {excerpt(source)} => {excerpt(target)} references unknown nodes")
             verdict = ClaimVerdict("conclude", f"{source} => {target}", "pass")
             if target not in _reached(lies_over, source):
                 verdict.status = "fail"

@@ -185,7 +185,7 @@ def _parse_field_spec(spec: str):
         if n > MAX_DEGREE:
             raise ManifestError(f"cyclotomic index above {MAX_DEGREE}")
         return NumberField.cyclotomic_field(n)
-    raise ManifestError(f"bad field spec {spec!r}")
+    raise ManifestError(f"bad field spec {excerpt(spec)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +267,10 @@ def parse_chain(text: str) -> ChainManifest:
             return
         if current.kind == "belyi":
             if current.support is None or current.exponents is None:
-                raise ManifestError(f"step {current.name}: missing support/exponents")
+                raise ManifestError(f"step {excerpt(current.name)}: missing support/exponents")
         else:
             if current.map is None:
-                raise ManifestError(f"step {current.name}: missing num/den")
+                raise ManifestError(f"step {excerpt(current.name)}: missing num/den")
         steps.append(current)
 
     num = None
@@ -283,7 +283,7 @@ def parse_chain(text: str) -> ChainManifest:
         elif key == "bound":
             bound = int(rest)
             if bound < 1:
-                raise ManifestError(f"bound must be at least 1: {bound}")
+                raise ManifestError(f"bound must be at least 1: {excerpt(str(bound))}")
         elif key == "bound-primes":
             bound_primes = tuple(int(p) for p in rest.split())
             for p in bound_primes:
@@ -295,7 +295,7 @@ def parse_chain(text: str) -> ChainManifest:
                 p, _, i = item.rpartition(":")
                 index = int(i)
                 if index < 1:
-                    raise ManifestError(f"start index must be at least 1: {item!r}")
+                    raise ManifestError(f"start index must be at least 1: {excerpt(item)!r}")
                 start.append((parse_point(field, p), index))
         elif key == "step":
             if field is None:
@@ -303,7 +303,7 @@ def parse_chain(text: str) -> ChainManifest:
             close_step()
             parts = rest.split()
             if len(parts) != 2 or parts[1] not in ("map", "auto", "belyi"):
-                raise ManifestError(f"bad step line {ln!r}")
+                raise ManifestError(f"bad step line {excerpt(ln)!r}")
             current = ChainStep(name=parts[0], kind=parts[1])
             num = None
         elif key in _STEP_KEYS and current is None:
@@ -325,7 +325,7 @@ def parse_chain(text: str) -> ChainManifest:
         elif key == "den":
             den = _parse_coeffs(rest)
             if num is None:
-                raise ManifestError(f"step {current.name}: den before num")
+                raise ManifestError(f"step {excerpt(current.name)}: den before num")
             current.map = RationalMap(num, den)
         elif key == "ram":
             for item in rest.split():
@@ -334,7 +334,7 @@ def parse_chain(text: str) -> ChainManifest:
         elif key == "out":
             current.out = [parse_point(field, p) for p in rest.split()]
         else:
-            raise ManifestError(f"unknown chain key {key!r}")
+            raise ManifestError(f"unknown chain key {excerpt(key)!r}")
     close_step()
     if name is None or field is None or not start:
         raise ManifestError("chain needs name, field, and start")
@@ -431,7 +431,7 @@ def parse_cert(text: str) -> CertificateManifest:
         elif key == "arrow":
             parts = rest.split()
             if len(parts) != 4 or not parts[3].startswith("degree="):
-                raise ManifestError(f"bad arrow line {ln!r}")
+                raise ManifestError(f"bad arrow line {excerpt(ln)!r}")
             arrow = Arrow(
                 name=parts[0],
                 source=parts[1],
@@ -440,16 +440,16 @@ def parse_cert(text: str) -> CertificateManifest:
                 fibers={},
             )
             if arrow.name in arrows:
-                raise ManifestError(f"duplicate arrow {arrow.name}")
+                raise ManifestError(f"duplicate arrow {excerpt(arrow.name)}")
             arrows[arrow.name] = arrow
             order.append(arrow)
         elif key == "fiber":
             parts = rest.split()
             if len(parts) < 4:
-                raise ManifestError(f"bad fiber line {ln!r}")
+                raise ManifestError(f"bad fiber line {excerpt(ln)!r}")
             arrow = arrows.get(parts[0])
             if arrow is None:
-                raise ManifestError(f"fiber for unknown arrow {parts[0]!r}")
+                raise ManifestError(f"fiber for unknown arrow {excerpt(parts[0])!r}")
             fiber = Fiber(parts[2], tuple(ParamIndex.parse(s) for s in parts[3:]))
             arrow.fibers[parts[1]] = fiber
         elif key == "claim":
@@ -457,13 +457,13 @@ def parse_cert(text: str) -> CertificateManifest:
             parts = crest.split()
             if ckind == "project":
                 if "at" not in parts:
-                    raise ManifestError(f"project claim needs 'at': {ln!r}")
+                    raise ManifestError(f"project claim needs 'at': {excerpt(ln)!r}")
                 cut = parts.index("at")
                 parts, at_labels = parts[:cut], parts[cut + 1:]
             if len(parts) < _CLAIM_FIELDS.get(ckind, 0):
-                raise ManifestError(f"too few fields in claim line {ln!r}")
+                raise ManifestError(f"too few fields in claim line {excerpt(ln)!r}")
             if ckind in ("profile", "project", "compose") and parts[0] not in arrows:
-                raise ManifestError(f"claim names undeclared arrow {parts[0]!r}")
+                raise ManifestError(f"claim names undeclared arrow {excerpt(parts[0])!r}")
             if ckind == "profile":
                 claims.append(("profile", arrows[parts[0]], parts[1]))
             elif ckind == "assume":
@@ -478,9 +478,9 @@ def parse_cert(text: str) -> CertificateManifest:
             elif ckind == "conclude":
                 claims.append(("conclude", parts[0], parts[1]))
             else:
-                raise ManifestError(f"unknown claim kind {ckind!r}")
+                raise ManifestError(f"unknown claim kind {excerpt(ckind)!r}")
         else:
-            raise ManifestError(f"unknown certificate key {key!r}")
+            raise ManifestError(f"unknown certificate key {excerpt(key)!r}")
     if name is None or not nodes:
         raise ManifestError("certificate needs a name and nodes")
     cert = DiagramCertificate(name=name, nodes=nodes, claims=claims)

@@ -9,11 +9,10 @@ exponent vectors stay smooth.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable
-
-from .exact import is_smooth
 
 
 @dataclass(frozen=True)
@@ -61,18 +60,13 @@ def unit_equation_solutions(primes: Iterable[int], bound: int) -> list:
         raise ValueError("height bound must be >= 2")
     smooth = smooth_enum(ps, bound)
     members = set(smooth.values)
+    vals = smooth.values
     out = []
-    for a in smooth.values:
-        for b in smooth.values:
-            if b < a:
-                continue
-            c = a + b
-            if c > bound or c not in members:
-                continue
-            if gcd(a, b) != 1:
-                continue
-            out.append((a, b, c))
-    out.sort()
+    for i, a in enumerate(vals):
+        # b runs from a up to bound - a
+        for b in vals[i:bisect_right(vals, bound - a)]:
+            if a + b in members and gcd(a, b) == 1:
+                out.append((a, b, a + b))
     return out
 
 
@@ -87,17 +81,14 @@ def prop24_pairs(primes: Iterable[int], bound: int) -> list:
     if 2 not in ps:
         raise ValueError("the prime set must contain 2")
     smooth = smooth_enum(ps, bound)
+    members = set(smooth.values)
     out = []
     for n2 in smooth.values:
         for n3 in smooth.values:
             if n3 >= n2:
                 break
-            if gcd(n2, n3) != 1:
-                continue
-            if not is_smooth(n2 - n3, ps):
-                continue
-            out.append((n2, n3))
-    out.sort()
+            if n2 - n3 in members and gcd(n2, n3) == 1:
+                out.append((n2, n3))
     return out
 
 
@@ -128,20 +119,23 @@ def thm26_family(primes: Iterable[int], bound: int) -> list:
     if bound < 2:
         return []
     smooth = smooth_enum(ps, 2 * bound)
+    # every difference of two distinct entries is nonzero and at most
+    # 2 * bound in size, so membership decides its smoothness
+    members = set(smooth.values)
     r3_values = [v for v in smooth.values if 2 * v <= bound]
     out = []
     for r3 in r3_values:
         for mag in smooth.values:
+            if gcd(mag, r3) != 1:
+                continue
             for r1 in (mag, -mag):
-                if gcd(mag, r3) != 1:
-                    continue
                 entries = (0, 2 * r3, r1 + r3, r3 - r1)
                 if len(set(entries)) != 4:
                     continue
                 if any(abs(e) > bound for e in entries):
                     continue
                 exceptional = any(
-                    not is_smooth(entries[i] - entries[j], ps)
+                    abs(entries[i] - entries[j]) not in members
                     for i in range(4)
                     for j in range(i + 1, 4)
                 )

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 
@@ -42,16 +43,19 @@ def minor_exponents(support):
     return tuple(sign * v // g for v in ints)
 
 
+@lru_cache(maxsize=None)
+def minor_table(k, box):
+    """The normalized supports in lexicographic order, each with its
+    minor exponents."""
+    return [((0,) + rest, minor_exponents((0,) + rest))
+            for rest in combinations(range(1, box + 1), k - 1) if gcd(*rest) == 1]
+
+
 def minor_search(k, primes, box):
-    """Reference box search: the normalized supports in lexicographic
-    order, kept when every minor exponent is smooth."""
-    out = []
-    for rest in combinations(range(1, box + 1), k - 1):
-        if gcd(*rest) == 1:
-            exps = minor_exponents((0,) + rest)
-            if all(is_smooth(r, primes) for r in exps):
-                out.append(((0,) + rest, exps))
-    return out
+    """Reference box search: the normalized supports kept when every
+    minor exponent is smooth."""
+    return [(sup, exps) for sup, exps in minor_table(k, box)
+            if all(is_smooth(r, primes) for r in exps)]
 
 
 class TestVandermondeExponents:
@@ -128,6 +132,21 @@ class TestSearch:
     def test_bench_boxes_match_minor_search(self, k, primes, box):
         found = [(t.support, t.exponents) for t in search_smooth_tuples(k, primes, box)]
         assert found == minor_search(k, primes, box)
+
+    @pytest.mark.parametrize("k,box", [(k, box) for k in range(3, 8)
+                                       for box in (8, 12, 16) if k < 7 or box <= 12])
+    def test_grid_matches_minor_search(self, k, box):
+        # prime sets without 2, and sets whose rough parts (what is left
+        # of a difference after the listed primes are divided out) are
+        # not all 1 inside the box
+        for primes in [(), (2,), (2, 3), (3, 5), (2, 3, 5, 7), (5, 7, 11)]:
+            found = [(t.support, t.exponents) for t in search_smooth_tuples(k, primes, box)]
+            assert found == minor_search(k, primes, box), primes
+
+    @pytest.mark.parametrize("primes", [(4,), (1,), (2, 9)])
+    def test_non_prime_entry_refused(self, primes):
+        with pytest.raises(ValueError):
+            search_smooth_tuples(4, primes, 10)
 
     def test_all_results_verify(self):
         for t in search_smooth_tuples(4, (2, 3), 10):

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -336,6 +337,43 @@ class TestErrorLines:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert len(err.encode()) < 300
 
+    def test_long_prime_entry_refused_before_conversion(self, capsys):
+        code, out, err = run(capsys, "sunit", "smooth", "--primes", "2," + "9" * self.LONG,
+                             "--height", "10")
+        assert (code, out) == (2, "")
+        assert err == f"error: prime list entry '{'9' * 60}...' is longer than 13 characters\n"
+
+    CHAIN = "ramcalc-chain 1\nname c\nfield rational\nstart 0:1\n"
+    CERT = "ramcalc-cert 1\nname c\nnode A\n"
+
+    @pytest.mark.parametrize("text", [
+        CHAIN + "step " + "s" * LONG + " map\n",
+        CHAIN + "step " + "s" * LONG + " map extra\n",
+        CHAIN + "k" * LONG + " 1\n",
+        CHAIN + "step " + "s" * LONG + " map\nden 1\n",
+        CERT + "arrow " + "a" * LONG + " A A\n",
+        CERT + "instances 1\narrow " + "a" * LONG + " A B degree=1\nclaim profile " + "a" * LONG
+        + " given\n",
+        CERT + "fiber " + "a" * LONG + " 0 all 1\n",
+        CERT + "claim compose " + "a" * LONG + " f g\n",
+        CERT + "k" * LONG + " 1\n",
+    ], ids=["step-name", "step-line", "chain-key", "den-before-num", "arrow-line", "arrow-nodes",
+            "fiber-arrow", "claim-arrow", "cert-key"])
+    def test_long_manifest_line_gives_short_error_line(self, capsys, tmp_path, text):
+        p = tmp_path / "long.manifest"
+        p.write_text(text)
+        code, out, err = run(capsys, "verify", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err.encode()) < 200
+
+    def test_short_manifest_line_quoted_whole(self, capsys, tmp_path):
+        p = tmp_path / "short.chain"
+        p.write_text(self.CHAIN + "step s map extra\n")
+        code, _, err = run(capsys, "verify", str(p))
+        assert code == 2
+        assert err == "error: bad step line 'step s map extra'\n"
+
     def test_short_argument_quoted_whole(self, capsys):
         code, _, err = run(capsys, "contract", "z^2-2$")
         assert code == 2
@@ -434,6 +472,17 @@ class TestBelyi:
         code, out, _ = run(capsys, "belyi", "search", "--k", "5", "--primes", "2", "--box", str(box))
         assert code == 0
         assert out == "count: 0\n"
+
+    def test_search_near_the_cap_within_budget(self, capsys):
+        # 80 730 supports, under the cap
+        assert comb(27, 5) < cli.MAX_BELYI_SUPPORTS
+        t0 = time.monotonic()
+        code, out, _ = run(capsys, "belyi", "search", "--k", "6", "--primes", "2,3,5", "--box", "27")
+        elapsed = time.monotonic() - t0
+        assert code == 0 and out.endswith("count: 127\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "3095af92dae8fbb0090c815899d3c38839a8053d0f256188f1be3f3fbdb76c8d")
+        assert elapsed < 1.0
 
     def test_bench_boxes_far_under_the_cap(self):
         assert 10 * max(comb(30, 3), comb(20, 4)) < cli.MAX_BELYI_SUPPORTS

@@ -53,6 +53,18 @@ class TestUnitEquation:
                     expected.append((a, b, c))
         assert got == sorted(expected)
 
+    @pytest.mark.parametrize("primes,bound", [((2,), 1024), ((3, 5), 1000)])
+    def test_other_prime_sets_match_brute_force(self, primes, bound):
+        smooth = [n for n in range(1, bound + 1) if naive_smooth(n, primes)]
+        expected = [(a, b, a + b) for a in smooth for b in smooth
+                    if a <= b and a + b <= bound and gcd(a, b) == 1
+                    and naive_smooth(a + b, primes)]
+        assert unit_equation_solutions(primes, bound) == sorted(expected)
+
+    def test_bound_is_inclusive(self):
+        for a, b, c in unit_equation_solutions((2, 3, 5), 500):
+            assert (a, b, c) in unit_equation_solutions((2, 3, 5), c)
+
     def test_classic_solutions_present(self):
         sols = unit_equation_solutions((2, 3), 10)
         assert (1, 1, 2) in sols
@@ -107,3 +119,26 @@ class TestFamily:
                 for j in range(i + 1, 4)
             ]
             assert t.exceptional == any(not naive_smooth(abs(d), (2, 3)) for d in diffs)
+
+    @pytest.mark.parametrize("primes,bound", [((2, 3, 5), 200), ((2, 3), 97), ((2, 3, 5, 7), 97)])
+    def test_matches_brute_force(self, primes, bound):
+        # differences of entries run past the bound (to 2 * 96 at (2, 3)
+        # and 97), into the top half of the family's smooth set, which
+        # stops at 2 * bound; at (2, 3, 5, 7) and 97 the tuple
+        # (0, 2, 50, -48) is not exceptional only because 98 is smooth
+        smooth = [n for n in range(1, 2 * bound + 1) if naive_smooth(n, primes)]
+        expected = []
+        for r3 in smooth:
+            for mag in smooth:
+                for r1 in (mag, -mag):
+                    e = (0, 2 * r3, r1 + r3, r3 - r1)
+                    if (gcd(mag, r3) != 1 or len(set(e)) != 4
+                            or any(abs(x) > bound for x in e)):
+                        continue
+                    exceptional = any(not naive_smooth(abs(e[i] - e[j]), primes)
+                                      for i in range(4) for j in range(i + 1, 4))
+                    expected.append((e, r1, r3, exceptional))
+        got = [(t.entries, t.r1, t.r3, t.exceptional) for t in thm26_family(primes, bound)]
+        assert got == sorted(expected)
+        largest = max(abs(e[i] - e[j]) for e, *_ in got for i in range(4) for j in range(i + 1, 4))
+        assert bound < largest <= 2 * bound
