@@ -320,11 +320,13 @@ def cmd_belyi_search(args) -> int:
     primes = _parse_primes(args.primes)
     if args.box < 1:
         raise UsageError(f"box must be at least 1, got {args.box}")
-    # a k outside 3..7 is refused by search_smooth_tuples itself
-    supports = comb(args.box, args.k - 1) if 3 <= args.k <= 7 else 0
-    if supports > MAX_BELYI_SUPPORTS:
+    # a k outside 3..7 is refused by search_smooth_tuples itself; inside
+    # it comb(box, k - 1) >= box, so a box above the cap is refused
+    # before comb runs on it
+    if 3 <= args.k <= 7 and (args.box > MAX_BELYI_SUPPORTS
+                             or comb(args.box, args.k - 1) > MAX_BELYI_SUPPORTS):
         raise UsageError(
-            f"box {args.box} holds {supports} supports of size {args.k}, above {MAX_BELYI_SUPPORTS}"
+            f"box {excerpt(str(args.box))} holds more than {MAX_BELYI_SUPPORTS} supports of size {args.k}"
         )
     found = search_smooth_tuples(args.k, primes, args.box)
     payload = {

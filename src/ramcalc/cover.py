@@ -4,7 +4,8 @@ Two layers live here.  The concrete layer works with integer fiber
 multisets: Riemann-Hurwitz genus accounting, the gcd/lcm compositum
 rule and its permutation-action cross-check.  The certificate layer
 works with parametrized index claims (c or c*n) and discharges
-unramifiedness diagrams at chosen parameter instances.
+unramifiedness diagrams at chosen parameter instances, each fiber
+claim read as a pair of bounds lo | e | hi on its indices.
 """
 
 from __future__ import annotations
@@ -272,114 +273,72 @@ class CertificateError(ValueError):
     pass
 
 
+def _bounds(fiber: Fiber, n: int) -> tuple:
+    """(lo, hi) with lo | e | hi for every index e of the fiber at n.
+
+    hi = 0 means unbounded (every integer divides 0).  Both are
+    attained prime by prime: for each prime p some index has the
+    p-adic valuation of lo and some the valuation of hi, so a rule
+    stated through them is exact, not merely sufficient.
+    """
+    vals = fiber.values_at(n)
+    if fiber.form == "divides":
+        return 1, vals[0]
+    if fiber.form == "multiple":
+        return vals[0], 0
+    return gcd(*vals), lcm(*vals)
+
+
+def _show(hi: int) -> str:
+    return str(hi) if hi else "unbounded"
+
+
 def _divisibility_ok(f_fiber: Fiber, g_fiber: Fiber, n: int):
     """Does every g-index divide every f-index at this instance?
 
-    Returns (ok, witness).  Rules are conservative: a fiber form the
-    rule set cannot bound is a failure, never a silent pass.
+    Exactly when the lcm of the g-indices divides the gcd of the
+    f-indices: hi_g != 0 and hi_g | lo_f.  Returns (ok, witness).
     """
-    ff, gf = f_fiber.form, g_fiber.form
-    if gf in ("explicit", "all"):
-        bs = g_fiber.values_at(n)
-        if ff in ("explicit", "all"):
-            for a in f_fiber.values_at(n):
-                for b in bs:
-                    if a % b:
-                        return False, (a, b)
-            return True, None
-        if ff == "multiple":
-            (m,) = f_fiber.values_at(n)
-            for b in bs:
-                if m % b:
-                    return False, (f"multiple {m}", b)
-            return True, None
-        return False, (str(f_fiber), str(g_fiber))
-    if gf == "divides":
-        (c,) = g_fiber.values_at(n)
-        if ff in ("explicit", "all"):
-            for a in f_fiber.values_at(n):
-                if a % c:
-                    return False, (a, f"divides {c}")
-            return True, None
-        if ff == "multiple":
-            (m,) = f_fiber.values_at(n)
-            return (True, None) if m % c == 0 else (False, (f"multiple {m}", f"divides {c}"))
-        if ff == "divides":
-            (d,) = f_fiber.values_at(n)
-            return (True, None) if c == 1 else (False, (f"divides {d}", f"divides {c}"))
-    return False, (str(f_fiber), str(g_fiber))
+    lo_f = _bounds(f_fiber, n)[0]
+    hi_g = _bounds(g_fiber, n)[1]
+    if hi_g and lo_f % hi_g == 0:
+        return True, None
+    return False, f"lcm {_show(hi_g)} of g-indices does not divide gcd {lo_f} of f-indices"
 
 
-def _uniform_value(fiber: Fiber, n: int) -> Optional[int]:
-    vals = set(fiber.values_at(n))
-    if fiber.form in ("explicit", "all") and len(vals) == 1:
-        return vals.pop()
-    return None
+def _claim_ok(lo: int, hi: int, claimed: Fiber, n: int, what: str):
+    """Indices with gcd lo and lcm hi are all multiples of r, or all r."""
+    if claimed.form not in ("all", "multiple"):
+        return False, f"unsupported claim form {claimed.form}"
+    (r,) = claimed.values_at(n)
+    if lo % r == 0 if claimed.form == "multiple" else lo == hi == r:
+        return True, None
+    return False, f"{what} has gcd {lo} and lcm {_show(hi)}, claimed {claimed.form} {r}"
 
 
 def _project_ok(f_fiber: Fiber, g_fiber: Fiber, claimed: Fiber, n: int):
     """Validate a claimed index profile over the g-source above one base.
 
-    A point over x (f-index a) and y (g-index b) acquires lcm(a, b)/b
-    over y.  The claim forms mirror the arguments actually used:
-    uniform values project to uniform values, "multiple" and "divides"
-    bounds project to "multiple" bounds.
+    A point over x (f-index a) and y (g-index b) has index
+    lcm(a, b)/b = a/gcd(a, b) over y.  These indices have gcd
+    lo_f/gcd(lo_f, hi_g) and lcm hi_f/gcd(hi_f, lo_g).
     """
-    fu = _uniform_value(f_fiber, n)
-    gu = _uniform_value(g_fiber, n)
-    if claimed.form == "all":
-        (r,) = claimed.values_at(n)
-        if fu is None or gu is None:
-            return False, "uniform claim needs uniform fibers"
-        actual = lcm(fu, gu) // gu
-        return (True, None) if actual == r else (False, f"index over g-source is {actual}, claimed {r}")
-    if claimed.form == "multiple":
-        (r,) = claimed.values_at(n)
-        if f_fiber.form == "multiple":
-            (m,) = f_fiber.values_at(n)
-            if gu is not None:
-                bound = m // gcd(m, gu)
-            elif g_fiber.form == "divides":
-                (c,) = g_fiber.values_at(n)
-                bound = m // gcd(m, c)
-            else:
-                return False, "unsupported g-fiber form"
-            return (True, None) if bound % r == 0 else (False, f"guaranteed multiple {bound}, claimed {r}")
-        if fu is not None and g_fiber.form == "divides":
-            (c,) = g_fiber.values_at(n)
-            # every b | c gives lcm(fu,b)/b = fu/b whenever b | fu; need r*c | fu
-            return (True, None) if fu % (r * c) == 0 else (False, f"{r}*{c} does not divide {fu}")
-        if fu is not None and gu is not None:
-            actual = lcm(fu, gu) // gu
-            return (True, None) if actual % r == 0 else (False, f"index {actual} not a multiple of {r}")
-        return False, "unsupported fiber forms"
-    return False, f"unsupported claim form {claimed.form}"
+    lo_f, hi_f = _bounds(f_fiber, n)
+    lo_g, hi_g = _bounds(g_fiber, n)
+    return _claim_ok(lo_f // gcd(lo_f, hi_g), hi_f // gcd(hi_f, lo_g), claimed, n,
+                     "index over g-source")
 
 
 def _compose_ok(outer_fiber: Fiber, inner: Fiber, claimed: Fiber, n: int):
     """Composite index over one base point: outer index times inner index.
 
-    The inner fiber claim comes from a project step covering all the
-    relevant preimages (a certificate assumption records why).
+    These indices have gcd lo_outer * lo_inner and lcm hi_outer *
+    hi_inner.  The inner fiber claim comes from a project step covering
+    all the relevant preimages (a certificate assumption records why).
     """
-    ou = _uniform_value(outer_fiber, n)
-    if claimed.form == "all":
-        (r,) = claimed.values_at(n)
-        iu = _uniform_value(inner, n)
-        if ou is None or iu is None:
-            return False, "uniform composite claim needs uniform factors"
-        return (True, None) if ou * iu == r else (False, f"composite index {ou * iu}, claimed {r}")
-    if claimed.form == "multiple":
-        (r,) = claimed.values_at(n)
-        if inner.form == "multiple" or (inner.form in ("all", "explicit") and _uniform_value(inner, n) is not None):
-            (m,) = (inner.values_at(n) if inner.form == "multiple" else (_uniform_value(inner, n),))
-            if ou is not None:
-                return (True, None) if (ou * m) % r == 0 else (False, f"composite multiple {ou * m}, claimed {r}")
-            if outer_fiber.form == "divides":
-                # outer index unknown but >= 1; only the inner bound survives
-                return (True, None) if m % r == 0 else (False, f"inner multiple {m}, claimed {r}")
-        return False, "unsupported inner fiber form"
-    return False, f"unsupported claim form {claimed.form}"
+    lo_o, hi_o = _bounds(outer_fiber, n)
+    lo_i, hi_i = _bounds(inner, n)
+    return _claim_ok(lo_o * lo_i, hi_o * hi_i, claimed, n, "composite index")
 
 
 def _given_profile_verdict(arrow: Arrow, basis: str, instances: Sequence[int]) -> ClaimVerdict:
@@ -418,6 +377,10 @@ def verify_certificate(cert: DiagramCertificate, parameter_instances: Sequence[i
     already registered.  Assumptions are echoed in the report and never
     counted as passes.
 
+    The unramified, project and compose rules are exact on the bounds
+    lo | e | hi of each fiber claim (`_bounds`).  A compose whose inner
+    arrow has no fiber claims, or unequal ones, fails.
+
     A conclusion S => T passes when T is reached from S in the lies-over
     graph of the claims before it that did not fail: an arrow A -> B
     gives A => B, `unramified h f g` gives source(f) => source(g), and
@@ -443,6 +406,13 @@ def verify_certificate(cert: DiagramCertificate, parameter_instances: Sequence[i
     def check_nodes(arrow: Arrow):
         if arrow.source not in nodes or arrow.target not in nodes:
             raise CertificateError(f"arrow {excerpt(arrow.name)} references unknown nodes")
+
+    def check(verdict: ClaimVerdict, where: str, rule, *fibers):
+        for n in instances:
+            ok, why = rule(*fibers, n)
+            if not ok:
+                verdict.status = "fail"
+                verdict.details.append(f"{where} at n={n}: {why}")
 
     def derive(verdict: ClaimVerdict, *edges):
         verdicts.append(verdict)
@@ -480,15 +450,10 @@ def verify_certificate(cert: DiagramCertificate, parameter_instances: Sequence[i
             for z in sorted(labels, key=str):
                 ff = f.fibers.get(z, TRIVIAL_FIBER)
                 gf = g.fibers.get(z, TRIVIAL_FIBER)
-                sym = _symbolic_divides(gf, ff)
-                if sym:
+                if _symbolic_divides(gf, ff):
                     verdict.details.append(f"over {z}: {gf} | {ff} symbolically")
-                    continue
-                for n in instances:
-                    ok, witness = _divisibility_ok(ff, gf, n)
-                    if not ok:
-                        verdict.status = "fail"
-                        verdict.details.append(f"over {z} at n={n}: {witness}")
+                else:
+                    check(verdict, f"over {z}", _divisibility_ok, ff, gf)
             if verdict.status == "pass":
                 unramified_pairs.add((f_name, g_name))
             derive(verdict, (f.source, g.source))
@@ -501,11 +466,7 @@ def verify_certificate(cert: DiagramCertificate, parameter_instances: Sequence[i
                 ff = f.fibers.get(z, TRIVIAL_FIBER)
                 gf = g.fibers.get(z, TRIVIAL_FIBER)
                 for target_label, claimed in arrow.fibers.items():
-                    for n in instances:
-                        ok, why = _project_ok(ff, gf, claimed, n)
-                        if not ok:
-                            verdict.status = "fail"
-                            verdict.details.append(f"base {z} -> {target_label} at n={n}: {why}")
+                    check(verdict, f"base {z} -> {target_label}", _project_ok, ff, gf, claimed)
             arrows[arrow.name] = arrow
             edges = [(arrow.source, arrow.target)]
             if (f_name, g_name) in unramified_pairs:
@@ -515,20 +476,17 @@ def verify_certificate(cert: DiagramCertificate, parameter_instances: Sequence[i
             _, arrow, outer_name, inner_name = claim
             check_nodes(arrow)
             outer, inner = lookup(outer_name), lookup(inner_name)
-            inner_specs = list(inner.fibers.values())
-            if not inner_specs:
-                raise CertificateError(f"compose {excerpt(arrow.name)}: inner arrow has no fiber claims")
-            inner_spec = inner_specs[0]
-            if any(s != inner_spec for s in inner_specs):
-                raise CertificateError(f"compose {excerpt(arrow.name)}: inner fiber claims not uniform")
             verdict = ClaimVerdict("compose", arrow.name, "pass")
-            for z, claimed in arrow.fibers.items():
-                of = outer.fibers.get(z, TRIVIAL_FIBER)
-                for n in instances:
-                    ok, why = _compose_ok(of, inner_spec, claimed, n)
-                    if not ok:
-                        verdict.status = "fail"
-                        verdict.details.append(f"over {z} at n={n}: {why}")
+            inner_specs = set(inner.fibers.values())
+            if len(inner_specs) != 1:
+                verdict.status = "fail"
+                verdict.details.append("inner fiber claims not uniform" if inner_specs
+                                       else "inner arrow has no fiber claims")
+            else:
+                (inner_spec,) = inner_specs
+                for z, claimed in arrow.fibers.items():
+                    of = outer.fibers.get(z, TRIVIAL_FIBER)
+                    check(verdict, f"over {z}", _compose_ok, of, inner_spec, claimed)
             arrows[arrow.name] = arrow
             derive(verdict, (arrow.source, arrow.target))
         elif kind == "conclude":

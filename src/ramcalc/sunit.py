@@ -14,6 +14,18 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable
 
+from .exact import excerpt
+
+# `smooth_enum` stops past this many values: 10^6 take 1.6-1.9 s on a
+# 2-vCPU host
+MAX_SMOOTH_VALUES = 10 ** 6
+# the pair loops are quadratic in the smooth set: on a 2-vCPU host
+# `unit_equation_solutions` and `prop24_pairs` take about 0.8 s on 4 106
+# values and 2-3 s on 8 289, and `thm26_family` takes 0.7 s on 1 301
+# values (up to twice the height) and 2 s on 2 378
+MAX_PAIR_VALUES = 4500
+MAX_FAMILY_VALUES = 1500
+
 
 @dataclass(frozen=True)
 class SmoothSet:
@@ -46,8 +58,18 @@ def smooth_enum(primes: Iterable[int], bound: int) -> SmoothSet:
                 if w <= bound and w not in vals:
                     vals.add(w)
                     nxt.append(w)
+            if len(vals) > MAX_SMOOTH_VALUES:
+                raise ValueError(f"more than {MAX_SMOOTH_VALUES} smooth values up to {excerpt(str(bound))}")
         frontier = nxt
     return SmoothSet(tuple(sorted(vals)))
+
+
+def _capped_enum(ps: tuple, bound: int, cap: int) -> SmoothSet:
+    """smooth_enum, refused when the set is larger than a pair loop's cap."""
+    smooth = smooth_enum(ps, bound)
+    if len(smooth.values) > cap:
+        raise ValueError(f"{len(smooth.values)} smooth values up to {excerpt(str(bound))}, above {cap}")
+    return smooth
 
 
 def unit_equation_solutions(primes: Iterable[int], bound: int) -> list:
@@ -58,7 +80,7 @@ def unit_equation_solutions(primes: Iterable[int], bound: int) -> list:
     ps = _normalize_primes(primes)
     if bound < 2:
         raise ValueError("height bound must be >= 2")
-    smooth = smooth_enum(ps, bound)
+    smooth = _capped_enum(ps, bound, MAX_PAIR_VALUES)
     members = set(smooth.values)
     vals = smooth.values
     out = []
@@ -80,7 +102,7 @@ def prop24_pairs(primes: Iterable[int], bound: int) -> list:
     ps = _normalize_primes(primes)
     if 2 not in ps:
         raise ValueError("the prime set must contain 2")
-    smooth = smooth_enum(ps, bound)
+    smooth = _capped_enum(ps, bound, MAX_PAIR_VALUES)
     members = set(smooth.values)
     out = []
     for n2 in smooth.values:
@@ -118,7 +140,7 @@ def thm26_family(primes: Iterable[int], bound: int) -> list:
     ps = _normalize_primes(primes)
     if bound < 2:
         return []
-    smooth = smooth_enum(ps, 2 * bound)
+    smooth = _capped_enum(ps, 2 * bound, MAX_FAMILY_VALUES)
     # every difference of two distinct entries is nonzero and at most
     # 2 * bound in size, so membership decides its smoothness
     members = set(smooth.values)

@@ -72,6 +72,47 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", cert_file, "--param", "n=4,5")
         assert code == 0
 
+    BOUNDS_CERT = (
+        "ramcalc-cert 1\nname bounds-rules\nparameter n\ninstances 1 2\n"
+        "node A\nnode B\nnode D\nnode Q\nnode P\n"
+        "arrow f A P degree=-\nfiber f 0 divides 4\nfiber f 1 all 6\n"
+        "arrow g B P degree=-\nfiber g 1 all 2\n"
+        "arrow h D P degree=-\nfiber h 1 divides 4\n"
+        "arrow p Q D degree=-\nfiber p q multiple 3\n"
+        "claim profile f given\nclaim profile g given\nclaim profile h given\n"
+        "claim unramified u f g\nclaim project p f h at 1\nclaim conclude A B\n"
+    )
+
+    def test_claims_true_on_the_bounds_pass(self, capsys, tmp_path):
+        # over 0 the g fiber is unlisted (index 1), which divides every
+        # index dividing 4; over 1, 6/gcd(6, b) for b | 4 is 3 or 6
+        p = tmp_path / "bounds.cert"
+        p.write_text(self.BOUNDS_CERT)
+        code, out, _ = run(capsys, "verify", str(p), "--json", "--deterministic")
+        assert code == 0
+        verdicts = {v["subject"]: (v["status"], v["details"]) for v in json.loads(out)["verdicts"]}
+        assert verdicts["u"] == ("pass", ["over 1: all(2) | all(6) symbolically"])
+        assert verdicts["p"] == ("pass", [])
+        assert verdicts["A => B"] == ("pass", [])
+
+    @pytest.mark.parametrize("inner_fibers,detail", [
+        ("fiber i z all 2\nfiber i w all 4\n", "inner fiber claims not uniform"),
+        ("", "inner arrow has no fiber claims"),
+    ])
+    def test_compose_without_one_inner_claim_fails(self, capsys, tmp_path, inner_fibers, detail):
+        p = tmp_path / "compose.cert"
+        p.write_text(
+            "ramcalc-cert 1\nname compose\nparameter n\ninstances 1\nnode A\nnode B\nnode C\n"
+            "arrow o B C degree=-\nfiber o 0 all 2\n"
+            f"arrow i A B degree=-\n{inner_fibers}"
+            "arrow oi A C degree=-\nfiber oi 0 all 4\n"
+            "claim profile o given\nclaim profile i given\nclaim compose oi o i\n"
+        )
+        code, out, err = run(capsys, "verify", str(p), "--json", "--deterministic")
+        assert (code, err) == (1, "")
+        (verdict,) = [v for v in json.loads(out)["verdicts"] if v["kind"] == "compose"]
+        assert (verdict["subject"], verdict["status"], verdict["details"]) == ("oi", "fail", [detail])
+
     @pytest.mark.parametrize("depth, code", [(64, 0), (65, 2), (400, 2)])
     def test_nested_parentheses_above_64_exit_two(self, capsys, tmp_path, depth, code):
         # each level is a recursion of the expression parser
@@ -486,6 +527,15 @@ class TestBelyi:
 
     def test_bench_boxes_far_under_the_cap(self):
         assert 10 * max(comb(30, 3), comb(20, 4)) < cli.MAX_BELYI_SUPPORTS
+
+    def test_huge_box_refused_before_comb(self, capsys):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "belyi", "search", "--k", "7", "--primes", "2,3",
+                             "--box", "9" * 100000)
+        elapsed = time.monotonic() - t0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: box 999") and len(err.encode()) < 200
+        assert elapsed < 1.0
 
     @pytest.mark.parametrize("sub", ["exponents", "verify"])
     def test_support_above_the_cap_exits_two_without_expanding(self, capsys, monkeypatch,
@@ -938,3 +988,11 @@ class TestSunitAndGenus:
         code, _, _ = run(capsys, "sunit", "nonsense", "--primes", "2",
                          "--height", "10")
         assert code == 2
+
+    @pytest.mark.parametrize("mode", ["unit", "prop24", "family"])
+    def test_pair_loop_above_its_cap_exits_two(self, capsys, mode):
+        # 15 519 values up to 10^8, and 18 513 up to 2*10^8 for family
+        code, out, err = run(capsys, "sunit", mode, "--primes", "2,3,5,7,11,13",
+                             "--height", str(10 ** 8))
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: \d+ smooth values up to \d+, above \d+\n", err)

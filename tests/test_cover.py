@@ -1,6 +1,7 @@
 """Cover profiles, Riemann-Hurwitz, compositum rule, diagram certificates."""
 
 import random
+from math import gcd
 
 import pytest
 
@@ -11,12 +12,14 @@ from ramcalc.cover import (
     Fiber,
     InconsistentProfile,
     ParamIndex,
+    TRIVIAL_FIBER,
     compositum_profile,
     permutation_compositum_fiber,
     rh_genus,
     standard_projection_profile,
     verify_certificate,
 )
+from ramcalc.cover import _compose_ok, _divisibility_ok, _project_ok
 from ramcalc.manifest import bundled_text, parse_cert
 
 
@@ -234,3 +237,78 @@ class TestCertificates:
         assert verdict.details == ["basis given"] + [
             f"over -1 at n={n}: index 3 does not divide degree 2" for n in (1, 2, 3, 6)
         ]
+
+
+def random_claim_fiber(rng, forms=("explicit", "all", "divides", "multiple")):
+    form = rng.choice(forms)
+    k = rng.randint(1, 4) if form == "explicit" else 1
+    return Fiber(form, tuple(ParamIndex(rng.randint(1, 12)) for _ in range(k)))
+
+
+def possible_indices(fiber):
+    """Every index a fiber claim allows at n = 1, multiples m*k for k <= 210."""
+    vals = fiber.values_at(1)
+    if fiber.form == "divides":
+        return [d for d in range(1, vals[0] + 1) if vals[0] % d == 0]
+    if fiber.form == "multiple":
+        return [vals[0] * k for k in range(1, 211)]
+    return list(vals)
+
+
+def claim_holds(claimed, indices):
+    (r,) = claimed.values_at(1)
+    if claimed.form == "multiple":
+        return all(e % r == 0 for e in indices)
+    return set(indices) == {r}
+
+
+class TestBoundsRules:
+    """The (gcd, lcm) rules against brute force over every index each
+    fiber claim allows: exact on unramified and multiple claims, sound
+    on all claims."""
+
+    TRIALS = 2000
+
+    def test_unramified_is_exact(self):
+        rng = random.Random(24)
+        for _ in range(self.TRIALS):
+            f, g = random_claim_fiber(rng), random_claim_fiber(rng)
+            truth = all(a % b == 0 for a in possible_indices(f) for b in possible_indices(g))
+            assert _divisibility_ok(f, g, 1)[0] == truth, (f, g)
+
+    @pytest.mark.parametrize("rule", ["project", "compose"])
+    def test_claims_against_brute_force(self, rule):
+        rng = random.Random(f"{rule}-24")
+        for _ in range(self.TRIALS):
+            x, y = random_claim_fiber(rng), random_claim_fiber(rng)
+            claimed = random_claim_fiber(rng, ("all", "multiple"))
+            if rule == "project":
+                ok = _project_ok(x, y, claimed, 1)[0]
+                indices = {a // gcd(a, b) for a in possible_indices(x) for b in possible_indices(y)}
+            else:
+                ok = _compose_ok(x, y, claimed, 1)[0]
+                indices = {a * b for a in possible_indices(x) for b in possible_indices(y)}
+            truth = claim_holds(claimed, indices)
+            if claimed.form == "multiple":
+                assert ok == truth, (x, y, claimed)
+            else:
+                assert truth or not ok, (x, y, claimed)
+
+    def test_rules_read_bounds_prime_by_prime(self):
+        def fiber(form, *vals):
+            return Fiber(form, tuple(ParamIndex(v) for v in vals))
+
+        # a divides-4 fiber over an unlisted (index 1) g fiber
+        assert _divisibility_ok(fiber("divides", 4), TRIVIAL_FIBER, 1) == (True, None)
+        assert _divisibility_ok(fiber("explicit", 4, 6), fiber("divides", 2), 1) == (True, None)
+        assert _divisibility_ok(TRIVIAL_FIBER, fiber("all", 2), 1) == (
+            False, "lcm 2 of g-indices does not divide gcd 1 of f-indices")
+        assert _divisibility_ok(fiber("all", 4), fiber("multiple", 2), 1) == (
+            False, "lcm unbounded of g-indices does not divide gcd 4 of f-indices")
+        # 6/gcd(6, b) for b | 4 is 3 or 6
+        assert _project_ok(fiber("all", 6), fiber("divides", 4), fiber("multiple", 3), 1) == (True, None)
+        assert _project_ok(fiber("all", 6), fiber("divides", 4), fiber("multiple", 6), 1) == (
+            False, "index over g-source has gcd 3 and lcm 6, claimed multiple 6")
+        assert _compose_ok(fiber("divides", 4), fiber("multiple", 3), fiber("multiple", 3), 1) == (True, None)
+        assert _compose_ok(fiber("all", 2), fiber("multiple", 3), fiber("all", 6), 1) == (
+            False, "composite index has gcd 6 and lcm unbounded, claimed all 6")

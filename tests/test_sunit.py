@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from ramcalc import sunit
 from ramcalc.sunit import (
     prop24_pairs,
     smooth_enum,
@@ -142,3 +143,42 @@ class TestFamily:
         assert got == sorted(expected)
         largest = max(abs(e[i] - e[j]) for e, *_ in got for i in range(4) for j in range(i + 1, 4))
         assert bound < largest <= 2 * bound
+
+
+class TestCaps:
+    P = (2, 3, 5, 7, 11, 13)
+
+    @pytest.mark.parametrize("search,cap,bound", [
+        (unit_equation_solutions, "MAX_PAIR_VALUES", 10 ** 8),
+        (prop24_pairs, "MAX_PAIR_VALUES", 10 ** 8),
+        (thm26_family, "MAX_FAMILY_VALUES", 10 ** 8),
+    ])
+    def test_pair_loop_refuses_above_its_cap(self, search, cap, bound):
+        limit = getattr(sunit, cap)
+        with pytest.raises(ValueError, match=f"smooth values up to \\d+, above {limit}$"):
+            search(self.P, bound)
+
+    @pytest.mark.parametrize("search,cap,scale", [
+        (unit_equation_solutions, "MAX_PAIR_VALUES", 1),
+        (prop24_pairs, "MAX_PAIR_VALUES", 1),
+        (thm26_family, "MAX_FAMILY_VALUES", 2),
+    ])
+    def test_pair_loop_runs_at_its_cap(self, monkeypatch, search, cap, scale):
+        # 30 values up to 80 at (2, 3, 5): a cap of 30 runs, 29 refuses
+        assert len(smooth_enum((2, 3, 5), 80).values) == 30
+        monkeypatch.setattr(sunit, cap, 30)
+        search((2, 3, 5), 80 // scale)
+        monkeypatch.setattr(sunit, cap, 29)
+        with pytest.raises(ValueError, match="30 smooth values up to 80, above 29"):
+            search((2, 3, 5), 80 // scale)
+
+    def test_smooth_enum_stops_past_its_cap(self, monkeypatch):
+        monkeypatch.setattr(sunit, "MAX_SMOOTH_VALUES", 30)
+        assert len(smooth_enum((2, 3, 5), 80).values) == 30
+        with pytest.raises(ValueError, match="more than 30 smooth values up to 81"):
+            smooth_enum((2, 3, 5), 81)
+
+    def test_bench_calls_under_the_caps(self):
+        assert len(smooth_enum((2, 3, 5), 10 ** 6).values) == 507 < sunit.MAX_PAIR_VALUES
+        assert len(smooth_enum((2, 3, 5), 2 * 10 ** 4).values) == 212 < sunit.MAX_FAMILY_VALUES
+        assert len(smooth_enum((2, 3, 5, 7), 10 ** 12).values) == 14672 < sunit.MAX_SMOOTH_VALUES
