@@ -13,16 +13,13 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from functools import cache
 from math import comb
 
 from . import __version__
 from .belyi import (
-    MAX_BELYI_SUPPORT_SIZE,
     BelyiTuple,
     NotBelyiForm,
-    exponent_factorizations,
     search_smooth_tuples,
     vandermonde_exponents,
     verify_belyi,
@@ -36,7 +33,7 @@ from .contract import (
     verify_contraction,
 )
 from .cover import rh_genus, standard_projection_profile, verify_certificate
-from .exact import BACKEND, MAX_LISTED_PRIME, Poly, check_prime, excerpt
+from .exact import BACKEND, MAX_LISTED_PRIME, Poly, excerpt, factor_over_primes, parse_int, prime_list
 from .manifest import (
     CERT_HEADER,
     CHAIN_HEADER,
@@ -45,6 +42,7 @@ from .manifest import (
     parse_cert,
     parse_chain,
     parse_poly,
+    parse_support,
 )
 from .relation import (
     DEFAULT_BOUND,
@@ -105,26 +103,10 @@ def _parse_primes(s: str) -> tuple:
         if len(p) > width:
             raise UsageError(f"prime list entry {excerpt(p)!r} is longer than {width} characters")
     try:
-        primes = tuple(sorted({int(p) for p in entries}))
+        primes = [int(p) for p in entries]
     except ValueError:
         raise UsageError(f"bad prime list {excerpt(s)!r}")
-    for p in primes:
-        check_prime(p)
-    return primes
-
-
-def _parse_rationals(s: str) -> list:
-    try:
-        return [Fraction(x) for x in s.replace(",", " ").split()]
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"bad rational list {excerpt(s)!r}")
-
-
-def _parse_support(s: str) -> list:
-    support = _parse_rationals(s)
-    if len(support) > MAX_BELYI_SUPPORT_SIZE:
-        raise UsageError(f"support of size {len(support)} is above {MAX_BELYI_SUPPORT_SIZE}")
-    return support
+    return prime_list(primes)
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +227,14 @@ def _belyi_payload(t: BelyiTuple, primes) -> dict:
         "exponent_sum_zero": sum(t.exponents) == 0,
     }
     try:
-        v = verify_belyi(t)
-        payload["dlog_constant"] = str(v.dlog_constant)
+        payload["dlog_constant"] = str(verify_belyi(t))
         payload["passed"] = True
     except NotBelyiForm as exc:
         payload["dlog_constant"] = None
         payload["passed"] = False
         payload["failure"] = str(exc)
     if primes:
-        facs = exponent_factorizations(t, primes)
+        facs = [factor_over_primes(e, primes) for e in t.exponents]
         payload["factorizations"] = [
             {"exponent": e, "factors": {str(p): x for p, x in f.items()} if f is not None else None}
             for e, f in zip(t.exponents, facs)
@@ -280,7 +261,7 @@ def _belyi_lines(payload: dict) -> list:
 
 
 def cmd_belyi_exponents(args) -> int:
-    support = _parse_support(args.support)
+    support = parse_support(args.support)
     exps = vandermonde_exponents(support)
     t = BelyiTuple(support, exps)
     primes = _parse_primes(args.primes) if args.primes else None
@@ -298,9 +279,9 @@ def _parse_belyi_file(text: str):
     for ln in lines[1:]:
         key, _, rest = ln.partition(" ")
         if key == "support":
-            support = _parse_support(rest)
+            support = parse_support(rest)
         elif key == "exponents":
-            exponents = [int(x) for x in rest.split()]
+            exponents = [parse_int(x) for x in rest.split()]
         else:
             raise ManifestError(f"unknown belyi-tuple line {excerpt(ln)!r}")
     if support is None or exponents is None:
@@ -316,23 +297,35 @@ def cmd_belyi_verify(args) -> int:
     return EXIT_PASS if payload["passed"] else EXIT_FAIL
 
 
+def _parse_box(text: str, k: int) -> int:
+    """The --box argument, at least 1.  A k outside 3..7 is refused by
+    search_smooth_tuples itself; inside it comb(box, k - 1) >= box, so a
+    box above the cap is refused before comb runs on it, and a box with
+    more digits than the cap before int() does, whose time is quadratic
+    in the digits."""
+    s = text.strip()
+    digits = s[1:] if s[:1] in ("+", "-") else s
+    capped = 3 <= k <= 7
+    if capped and digits.isdecimal() and len(digits.lstrip("0")) > len(str(MAX_BELYI_SUPPORTS)):
+        # a stand-in with the same verdict
+        box = -1 if s[0] == "-" else MAX_BELYI_SUPPORTS + 1
+    else:
+        box = parse_int(s)
+    if box < 1:
+        raise UsageError(f"box must be at least 1, got {excerpt(s)}")
+    if capped and (box > MAX_BELYI_SUPPORTS or comb(box, k - 1) > MAX_BELYI_SUPPORTS):
+        raise UsageError(f"box {excerpt(s)} holds more than {MAX_BELYI_SUPPORTS} supports of size {k}")
+    return box
+
+
 def cmd_belyi_search(args) -> int:
     primes = _parse_primes(args.primes)
-    if args.box < 1:
-        raise UsageError(f"box must be at least 1, got {args.box}")
-    # a k outside 3..7 is refused by search_smooth_tuples itself; inside
-    # it comb(box, k - 1) >= box, so a box above the cap is refused
-    # before comb runs on it
-    if 3 <= args.k <= 7 and (args.box > MAX_BELYI_SUPPORTS
-                             or comb(args.box, args.k - 1) > MAX_BELYI_SUPPORTS):
-        raise UsageError(
-            f"box {excerpt(str(args.box))} holds more than {MAX_BELYI_SUPPORTS} supports of size {args.k}"
-        )
-    found = search_smooth_tuples(args.k, primes, args.box)
+    box = _parse_box(args.box, args.k)
+    found = search_smooth_tuples(args.k, primes, box)
     payload = {
         "k": args.k,
         "primes": list(primes),
-        "box": args.box,
+        "box": box,
         "tuples": [
             {"support": [str(x) for x in t.support], "exponents": list(t.exponents)}
             for t in found
@@ -626,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = bsub.add_parser("search", help="enumerate smooth-exponent supports in a box")
     b.add_argument("--k", type=int, default=4, help="support size")
     b.add_argument("--primes", required=True)
-    b.add_argument("--box", type=int, required=True, help="largest support entry; supports lie in [0, box]")
+    b.add_argument("--box", required=True, help="largest support entry; supports lie in [0, box]")
     common(b)
     b.set_defaults(func=cmd_belyi_search)
 

@@ -568,12 +568,25 @@ def excerpt(text: str) -> str:
     return text if len(text) <= MAX_EXCERPT else text[:MAX_EXCERPT] + "..."
 
 
-def check_prime(p: int) -> None:
-    """ValueError unless p is a prime no larger than MAX_LISTED_PRIME."""
-    if p > MAX_LISTED_PRIME:
-        raise ValueError(f"{excerpt(str(p))} in the prime list is above {MAX_LISTED_PRIME}")
-    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
-        raise ValueError(f"{p} in the prime list is not a prime")
+def parse_int(text: str) -> int:
+    """int(text), whose error line quotes at most MAX_EXCERPT characters
+    of the text (int() itself quotes 200)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid literal for int() with base 10: {excerpt(text)!r}") from None
+
+
+def prime_list(primes: Iterable[int]) -> tuple:
+    """The primes sorted and without repeats; ValueError unless each is
+    a prime no larger than MAX_LISTED_PRIME."""
+    ps = tuple(sorted(set(primes)))
+    for p in ps:
+        if p > MAX_LISTED_PRIME:
+            raise ValueError(f"{excerpt(str(p))} in the prime list is above {MAX_LISTED_PRIME}")
+        if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+            raise ValueError(f"{p} in the prime list is not a prime")
+    return ps
 
 
 # ---------------------------------------------------------------------------

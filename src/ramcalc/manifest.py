@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .belyi import MAX_BELYI_SUPPORT_SIZE
-from .exact import NumberField, Poly, QQ, RationalField, check_prime, excerpt
+from .exact import NumberField, Poly, QQ, RationalField, excerpt, parse_int, prime_list
 from .rmap import INF, RationalMap, is_inf
 from .cover import Arrow, DiagramCertificate, Fiber, ParamIndex
 
@@ -181,7 +181,7 @@ def _parse_field_spec(spec: str):
     if parts == ["rational"]:
         return QQ
     if len(parts) == 2 and parts[0] == "cyclotomic":
-        n = int(parts[1])
+        n = parse_int(parts[1])
         if n > MAX_DEGREE:
             raise ManifestError(f"cyclotomic index above {MAX_DEGREE}")
         return NumberField.cyclotomic_field(n)
@@ -237,6 +237,18 @@ def render_chain(m: ChainManifest) -> str:
 _STEP_KEYS = ("support", "exponents", "num", "den", "ram", "out")
 
 
+def parse_support(text: str) -> tuple:
+    """A belyi support: at most MAX_BELYI_SUPPORT_SIZE rationals,
+    separated by commas or spaces."""
+    entries = text.replace(",", " ").split()
+    if len(entries) > MAX_BELYI_SUPPORT_SIZE:
+        raise ManifestError(f"support of size {len(entries)} is above {MAX_BELYI_SUPPORT_SIZE}")
+    try:
+        return tuple(Fraction(q) for q in entries)
+    except (ValueError, ZeroDivisionError):
+        raise ManifestError(f"bad rational list {excerpt(text)!r}") from None
+
+
 def _parse_coeffs(rest: str) -> Poly:
     """A num or den line: rational coefficients, constant term first."""
     coeffs = []
@@ -281,19 +293,17 @@ def parse_chain(text: str) -> ChainManifest:
         elif key == "field":
             field = _parse_field_spec(rest)
         elif key == "bound":
-            bound = int(rest)
+            bound = parse_int(rest)
             if bound < 1:
                 raise ManifestError(f"bound must be at least 1: {excerpt(str(bound))}")
         elif key == "bound-primes":
-            bound_primes = tuple(int(p) for p in rest.split())
-            for p in bound_primes:
-                check_prime(p)
+            bound_primes = prime_list(parse_int(p) for p in rest.split())
         elif key == "start":
             if field is None:
                 raise ManifestError("field must precede start")
             for item in rest.split():
                 p, _, i = item.rpartition(":")
-                index = int(i)
+                index = parse_int(i)
                 if index < 1:
                     raise ManifestError(f"start index must be at least 1: {excerpt(item)!r}")
                 start.append((parse_point(field, p), index))
@@ -309,17 +319,9 @@ def parse_chain(text: str) -> ChainManifest:
         elif key in _STEP_KEYS and current is None:
             raise ManifestError(f"{key} line outside a step")
         elif key == "support":
-            entries = rest.split()
-            if len(entries) > MAX_BELYI_SUPPORT_SIZE:
-                raise ManifestError(
-                    f"support of size {len(entries)} is above {MAX_BELYI_SUPPORT_SIZE}"
-                )
-            try:
-                current.support = tuple(Fraction(q) for q in entries)
-            except ZeroDivisionError:
-                raise ManifestError("division by zero") from None
+            current.support = parse_support(rest)
         elif key == "exponents":
-            current.exponents = tuple(int(r) for r in rest.split())
+            current.exponents = tuple(parse_int(r) for r in rest.split())
         elif key == "num":
             num = _parse_coeffs(rest)
         elif key == "den":
@@ -330,7 +332,7 @@ def parse_chain(text: str) -> ChainManifest:
         elif key == "ram":
             for item in rest.split():
                 p, _, i = item.rpartition(":")
-                current.ram.append((parse_point(field, p), int(i)))
+                current.ram.append((parse_point(field, p), parse_int(i)))
         elif key == "out":
             current.out = [parse_point(field, p) for p in rest.split()]
         else:
@@ -425,7 +427,7 @@ def parse_cert(text: str) -> CertificateManifest:
         elif key == "parameter":
             parameter = rest.strip()
         elif key == "instances":
-            instances = tuple(int(v) for v in rest.split())
+            instances = tuple(parse_int(v) for v in rest.split())
         elif key == "node":
             nodes.append(rest.strip())
         elif key == "arrow":

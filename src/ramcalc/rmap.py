@@ -314,7 +314,7 @@ def _belyi_step(step):
 
     t = BelyiTuple(step.support, step.exponents)
     try:
-        verification = verify_belyi(t)
+        verify_belyi(t)
     except NotBelyiForm as exc:
         raise VerificationError(f"step {step.name}: {exc}")
     support = dict(zip(t.support, t.exponents))
@@ -340,4 +340,4 @@ def _belyi_step(step):
 
     branch = [(QQ.zero if r > 0 else INF, abs(r)) for r in t.exponents]
     branch.append((QQ.one, k - 1))
-    return move, branch, f"belyi-form step of degree {verification.degree} (not expanded)"
+    return move, branch, f"belyi-form step of degree {t.degree} (not expanded)"

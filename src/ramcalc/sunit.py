@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable
 
-from .exact import excerpt
+from .exact import excerpt, prime_list
 
 # `smooth_enum` stops past this many values: 10^6 take 1.6-1.9 s on a
 # 2-vCPU host
@@ -35,12 +35,10 @@ class SmoothSet:
 
 
 def _normalize_primes(primes: Iterable[int]) -> tuple:
-    ps = sorted(set(int(p) for p in primes))
+    ps = prime_list(primes)
     if not ps:
         raise ValueError("prime set must be nonempty")
-    if any(p < 2 for p in ps):
-        raise ValueError("primes must be >= 2")
-    return tuple(ps)
+    return ps
 
 
 def smooth_enum(primes: Iterable[int], bound: int) -> SmoothSet:

@@ -11,6 +11,19 @@ def from_roots(roots) -> Poly:
     return p
 
 
+def dlog_numerator(t) -> Poly:
+    """N(z) = sum_i r_i prod_{j != i} (z - n_j) of a Belyi tuple,
+    expanded: the oracle for the power-sum rule of `verify_belyi`."""
+    out = Poly(QQ, [])
+    for i, r in enumerate(t.exponents):
+        term = Poly(QQ, [r])
+        for j, n in enumerate(t.support):
+            if j != i:
+                term = term * Poly(QQ, [-n, 1])
+        out = out + term
+    return out
+
+
 def cube_root_of_two_field() -> NumberField:
     """Q[a]/(a^3 - 2), the one field the tests use that is not
     cyclotomic, built through the seam of `NumberField.cyclotomic_field`

@@ -10,7 +10,6 @@ from math import gcd
 
 from ramcalc.belyi import (
     BelyiTuple,
-    dlog_numerator,
     search_smooth_tuples,
     vandermonde_exponents,
     verify_belyi,
@@ -30,7 +29,7 @@ from ramcalc.relation import CurveNode, RuleStore
 from ramcalc.rmap import is_inf, verify_chain
 from ramcalc.sunit import prop24_pairs, thm26_family, unit_equation_solutions
 
-from helpers import from_roots
+from helpers import dlog_numerator, from_roots
 
 
 def report(criterion: str, ok: bool, extra: str = ""):
@@ -89,8 +88,7 @@ def _check_belyi_chain(name, expected_abs_exponents, bound, primes):
     assert step.kind == "belyi"
     t = BelyiTuple(step.support, step.exponents)
     ok = ok and sum(t.exponents) == 0
-    v = verify_belyi(t)
-    ok = ok and v.dlog_constant != 0
+    ok = ok and verify_belyi(t) != 0
 
     got = sorted([abs(r) for r in t.exponents] + [t.k - 1])
     ok = ok and got == sorted(expected_abs_exponents)

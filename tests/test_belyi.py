@@ -14,13 +14,14 @@ from ramcalc.belyi import (
     BelyiTuple,
     DegenerateSupport,
     NotBelyiForm,
-    dlog_numerator,
-    exponent_factorizations,
     search_smooth_tuples,
     vandermonde_exponents,
     verify_belyi,
 )
-from ramcalc.exact import is_smooth
+from ramcalc.exact import Poly, factor_over_primes, is_smooth
+from ramcalc.manifest import bundled_text, parse_chain
+
+from helpers import dlog_numerator
 
 
 def minor_exponents(support):
@@ -86,16 +87,14 @@ class TestVandermondeExponents:
     def test_resulting_tuple_verifies(self, sup):
         exps = vandermonde_exponents(tuple(sup))
         t = BelyiTuple(tuple(sup), exps)
-        v = verify_belyi(t)
-        assert v.dlog_constant != 0
+        assert verify_belyi(t) != 0
 
 
 class TestVerifyBelyi:
     def test_reference_tuple(self):
         t = BelyiTuple((0, 1, 5, 6), (2, -3, 3, -2))
-        v = verify_belyi(t)
-        assert v.degree == 5
-        assert v.dlog_constant != 0
+        assert t.degree == 5
+        assert verify_belyi(t) == -60
 
     def test_dlog_numerator_constant_iff_belyi(self):
         good = BelyiTuple((0, 1, 5, 6), (2, -3, 3, -2))
@@ -110,15 +109,104 @@ class TestVerifyBelyi:
             verify_belyi(BelyiTuple((0, 1, 5, 6), (2, -3, 3, -1)))
 
 
+def expanded_verdict(t):
+    """The verdict read off the expanded dlog numerator: its constant,
+    or the NotBelyiForm text."""
+    if sum(t.exponents) != 0:
+        return f"exponents sum to {sum(t.exponents)}, not zero"
+    n = dlog_numerator(t)
+    if n.degree > 0:
+        return f"dlog numerator is not constant (degree {n.degree})"
+    if n.is_zero():
+        return "dlog numerator vanishes identically"
+    return n.coeffs[0]
+
+
+def power_sum_verdict(t):
+    try:
+        return verify_belyi(t)
+    except NotBelyiForm as exc:
+        return str(exc)
+
+
+def tuple_of_degree(points, d, rng):
+    """A zero-sum tuple on the points whose dlog numerator has degree d
+    (0 <= d <= k - 2): a combination of Vandermonde vectors of windows
+    of k - d points, each with p_0 = ... = p_(k-d-2) = 0 and
+    p_(k-d-1) != 0, redrawn until no exponent is zero and the expanded
+    numerator has degree d."""
+    k = len(points)
+    n = k - d
+    while True:
+        exps = [0] * k
+        for start in range(0, k, n - 1):
+            idx = [(start + i) % k for i in range(n)]
+            c = rng.choice([-1, 1]) * rng.randint(1, 5)
+            for i, r in zip(idx, vandermonde_exponents([points[i] for i in idx])):
+                exps[i] += c * r
+        if all(exps):
+            t = BelyiTuple(points, exps)
+            if dlog_numerator(t).degree == d:
+                return t
+
+
+class TestPowerSumRule:
+    def seeded_tuples(self):
+        """Tuples for k = 0..12 on negative and fractional supports, with
+        exponents of both signs: random ones, which mostly fail on their
+        sum, and zero-sum ones of each numerator degree 0..k - 2."""
+        rng = random.Random(25)
+        for k in range(13):
+            for rep in range(20):
+                sup = set()
+                while len(sup) < k:
+                    sup.add(Fraction(rng.randint(-40, 40), rng.randint(1, 9)))
+                sup = rng.sample(sorted(sup), k)
+                yield BelyiTuple(sup, [rng.choice([-1, 1]) * rng.randint(1, 30) for _ in range(k)])
+                if rep < 3:
+                    for d in range(k - 1):
+                        yield tuple_of_degree(sup, d, rng)
+
+    def test_matches_expanded_numerator(self):
+        kinds = {k: set() for k in range(13)}
+        for t in self.seeded_tuples():
+            want = expanded_verdict(t)
+            assert power_sum_verdict(t) == want, (t.support, t.exponents)
+            if not isinstance(want, str):
+                want = "constant"
+            elif want.startswith("exponents sum to"):
+                want = "sum"
+            kinds[t.k].add(want)
+        assert kinds[0] == {"dlog numerator vanishes identically"}
+        assert kinds[1] == {"sum"}
+        for k in range(2, 13):
+            assert kinds[k] == {"sum", "constant"} | {
+                f"dlog numerator is not constant (degree {d})" for d in range(1, k - 1)}
+
+    def test_decides_without_polynomial_arithmetic(self, monkeypatch):
+        h6 = next(s for s in parse_chain(bundled_text("prop12.chain")).steps if s.kind == "belyi")
+        squares = [i * i for i in range(32)]
+        tuples = [BelyiTuple(h6.support, h6.exponents),
+                  BelyiTuple(squares, vandermonde_exponents(squares))]
+        want = [verify_belyi(t) for t in tuples]
+
+        def refuse(*args):
+            raise AssertionError("a polynomial was built")
+        monkeypatch.setattr(Poly, "__mul__", refuse)
+        monkeypatch.setattr(Poly, "__add__", refuse)
+        assert [verify_belyi(t) for t in tuples] == want
+        assert all(w != 0 for w in want)
+
+
 class TestFactorizationsAndHyperplane:
     def test_exponent_factorizations(self):
         t = BelyiTuple((0, 1, 5, 6), (2, -3, 3, -2))
-        facs = exponent_factorizations(t, (2, 3))
+        facs = [factor_over_primes(r, (2, 3)) for r in t.exponents]
         assert facs == [{2: 1}, {3: 1}, {3: 1}, {2: 1}]
 
     def test_nonsmooth_exponent_gives_none(self):
         t = BelyiTuple((0, 1, 6, 7), vandermonde_exponents((0, 1, 6, 7)))
-        facs = exponent_factorizations(t, (2, 3))
+        facs = [factor_over_primes(r, (2, 3)) for r in t.exponents]
         assert any(f is None for f in facs)
 
 
@@ -150,4 +238,4 @@ class TestSearch:
 
     def test_all_results_verify(self):
         for t in search_smooth_tuples(4, (2, 3), 10):
-            assert verify_belyi(t).dlog_constant != 0
+            assert verify_belyi(t) != 0

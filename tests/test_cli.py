@@ -398,12 +398,24 @@ class TestErrorLines:
         CERT + "fiber " + "a" * LONG + " 0 all 1\n",
         CERT + "claim compose " + "a" * LONG + " f g\n",
         CERT + "k" * LONG + " 1\n",
+        CHAIN + "step b belyi\nsupport 0 1 " + "x" * LONG + "\n",
+        CHAIN + "bound " + "x" * LONG + "\n",
+        CHAIN + "bound-primes 2 " + "x" * LONG + "\n",
+        CHAIN.replace("start 0:1", "start 0:" + "x" * LONG),
+        CHAIN + "step s map\nnum 0 1\nden 1\nram 0:" + "x" * LONG + "\n",
+        CHAIN + "step b belyi\nsupport 0 1\nexponents 1 " + "x" * LONG + "\n",
+        CHAIN.replace("field rational", "field cyclotomic " + "x" * LONG),
+        CERT + "instances 1 " + "x" * LONG + "\n",
+        "ramcalc-belyi 1\nsupport 0 1\nexponents 1 " + "x" * LONG + "\n",
     ], ids=["step-name", "step-line", "chain-key", "den-before-num", "arrow-line", "arrow-nodes",
-            "fiber-arrow", "claim-arrow", "cert-key"])
+            "fiber-arrow", "claim-arrow", "cert-key", "chain-support", "bound", "bound-primes",
+            "start-index", "ram-index", "step-exponents", "field-index", "cert-instances",
+            "belyi-exponents"])
     def test_long_manifest_line_gives_short_error_line(self, capsys, tmp_path, text):
         p = tmp_path / "long.manifest"
         p.write_text(text)
-        code, out, err = run(capsys, "verify", str(p))
+        command = ["belyi", "verify"] if text.startswith(cli.BELYI_HEADER) else ["verify"]
+        code, out, err = run(capsys, *command, str(p))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert len(err.encode()) < 200
@@ -471,6 +483,15 @@ class TestBelyi:
         assert code == 0
         assert "PASS" in out
 
+    def test_empty_tuple_exits_one(self, capsys, tmp_path):
+        p = tmp_path / "tuple.belyi"
+        p.write_text("ramcalc-belyi 1\nsupport\nexponents\n")
+        code, out, _ = run(capsys, "belyi", "verify", str(p))
+        assert code == 1
+        assert "dlog constant: None\nresult: FAIL\n" in out
+        code, out, _ = run(capsys, "belyi", "verify", str(p), "--json")
+        assert (code, json.loads(out)["failure"]) == (1, "dlog numerator vanishes identically")
+
     def test_malformed_tuple_exits_two(self, capsys, tmp_path):
         p = tmp_path / "tuple.belyi"
         p.write_text("ramcalc-belyi 1\nsupport 0 1 x\n")
@@ -537,14 +558,26 @@ class TestBelyi:
         assert err.startswith("error: box 999") and len(err.encode()) < 200
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_long_box_refused_from_its_text(self, capsys, sign):
+        # int() and str() of a 300 000-digit box take over a second
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "belyi", "search", "--k", "4", "--primes", "2,3",
+                             "--box", sign + "9" * 300_000)
+        elapsed = time.monotonic() - t0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: box must be at least 1, got -999" if sign else "error: box 999")
+        assert err.count("\n") == 1 and len(err.encode()) < 200
+        assert elapsed < 0.1
+
     @pytest.mark.parametrize("sub", ["exponents", "verify"])
     def test_support_above_the_cap_exits_two_without_expanding(self, capsys, monkeypatch,
                                                               tmp_path, sub):
         def refuse(*args):
             raise AssertionError("the exponent or numerator work started")
         monkeypatch.setattr(cli, "vandermonde_exponents", refuse)
-        monkeypatch.setattr(belyi, "dlog_numerator", refuse)
-        k = cli.MAX_BELYI_SUPPORT_SIZE + 1
+        monkeypatch.setattr(cli, "verify_belyi", refuse)
+        k = belyi.MAX_BELYI_SUPPORT_SIZE + 1
         support = " ".join(str(i * i) for i in range(k))
         p = tmp_path / "tuple.belyi"
         p.write_text(f"ramcalc-belyi 1\nsupport {support}\nexponents {' '.join(['1'] * k)}\n")
@@ -552,10 +585,10 @@ class TestBelyi:
         code, out, err = run(capsys, "belyi", sub, *argv)
         assert code == 2
         assert out == ""
-        assert err == f"error: support of size {k} is above {cli.MAX_BELYI_SUPPORT_SIZE}\n"
+        assert err == f"error: support of size {k} is above {belyi.MAX_BELYI_SUPPORT_SIZE}\n"
 
     def test_support_at_the_cap_runs(self, capsys):
-        support = ",".join(str(i * i) for i in range(cli.MAX_BELYI_SUPPORT_SIZE))
+        support = ",".join(str(i * i) for i in range(belyi.MAX_BELYI_SUPPORT_SIZE))
         code, out, _ = run(capsys, "belyi", "exponents", support, "--json")
         assert code == 0
         assert json.loads(out)["passed"] is True

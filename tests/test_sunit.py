@@ -37,6 +37,12 @@ class TestSmoothEnum:
         with pytest.raises(ValueError):
             smooth_enum((2,), 0)
 
+    @pytest.mark.parametrize("search", [smooth_enum, unit_equation_solutions, prop24_pairs,
+                                        thm26_family])
+    def test_composite_in_the_prime_list_refused(self, search):
+        with pytest.raises(ValueError, match="^4 in the prime list is not a prime$"):
+            search([2, 4], 20)
+
 
 class TestUnitEquation:
     def test_matches_brute_force(self):
