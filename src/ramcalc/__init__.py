@@ -3,10 +3,12 @@
 Subpackages by role:
 
 - ``exact``: exact rationals, polynomials over Q, resultants,
-  cyclotomic number fields for points, smoothness checks
+  cyclotomic number fields for points (a point is a rational, or an
+  irrational element as an integer vector over one denominator),
+  smoothness checks
 - ``rmap``: self-maps of the projective line defined over Q, local
-  indices at rational and number-field points, ramification divisors,
-  chain verification
+  indices at rational and number-field points, values in that one
+  point form, ramification divisors, chain verification
 - ``belyi``: four-point product-form maps branched over {0, 1, inf}
 - ``cover``: branch-cover profiles, Riemann-Hurwitz genus, compositum
   profiles, parametrized diagram certificates

@@ -4,16 +4,19 @@ Q, and the cyclotomic fields Q(zeta_n).
 Everything here is immutable and exact; no floating point anywhere.
 Polynomials store coefficients constant-term first with no trailing
 zeros, so the zero polynomial has an empty coefficient tuple.  Their
-coefficients are always rational; number fields hold the points a
-polynomial is evaluated at.
+coefficients are always rational.  A point a polynomial is evaluated at
+has one form: a rational when its value is rational, else an element of
+a number field held as an integer vector over one positive denominator
+in lowest terms, the pair the integer kernels compute in.
 """
 
 from __future__ import annotations
 
 import numbers
+import re
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Sequence
+from typing import Iterable
 
 try:  # GMP-backed rationals: identical semantics, far faster gcd
     from gmpy2 import mpq as RAT, gcd as _int_gcd
@@ -69,22 +72,29 @@ def _int_horner(ints, na: int, da: int) -> int:
     return acc
 
 
-def _mulmod_zz(a, b, mp) -> list:
-    """a b mod mp for integer vectors a, b of length d and the monic
-    integer coefficient list mp of degree d: integer convolution, then
-    reduction from the top."""
+def _mod_zz(p, mp) -> list:
+    """p mod mp as an integer vector of length deg mp, for an integer
+    list p and the monic integer coefficient list mp: reduction from
+    the top."""
     d = len(mp) - 1
-    prod = [0] * (2 * d - 1)
+    p = list(p) + [0] * (d - len(p))
+    for i in range(len(p) - 1, d - 1, -1):
+        c = p[i]
+        if c:
+            for j in range(d):
+                p[i - d + j] -= c * mp[j]
+    return p[:d]
+
+
+def _mulmod_zz(a, b, mp) -> list:
+    """a b mod mp for integer vectors a, b and the monic integer
+    coefficient list mp: integer convolution, then `_mod_zz`."""
+    prod = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 prod[i + j] += x * y
-    for i in range(2 * d - 2, d - 1, -1):
-        c = prod[i]
-        if c:
-            for j in range(d):
-                prod[i - d + j] -= c * mp[j]
-    return prod[:d]
+    return _mod_zz(prod, mp)
 
 
 def _nf_horner(ints, an, ad: int, mp) -> list:
@@ -102,14 +112,13 @@ def _nf_horner(ints, an, ad: int, mp) -> list:
 
 
 def _evaluator(x):
-    """(ev, mul, D) for a point x as `_as_point` gives it, D the common
-    denominator of x.  ev maps an integer coefficient list of degree n
-    to D^n p(x) as an integer list: one entry for a rational x, a vector
-    mod the minimal polynomial for an irrational element.  mul is the
+    """(ev, mul, D) for a point x, a rational or an irrational element,
+    D the denominator of x.  ev maps an integer coefficient list of
+    degree n to D^n p(x) as an integer list: one entry for a rational x,
+    a vector mod the minimal polynomial for an element.  mul is the
     product of two such values."""
     if isinstance(x, NumberFieldElement):
-        an, ad = _int_vector(x.coeffs)
-        mp = x.field._minpoly_ints
+        an, ad, mp = x.num, x.den, x.field._minpoly_ints
         return (lambda ints: _nf_horner(ints, an, ad, mp)), (lambda a, b: _mulmod_zz(a, b, mp)), ad
     na, da = int(x.numerator), int(x.denominator)
     return (lambda ints: [_int_horner(ints, na, da)]), (lambda a, b: [a[0] * b[0]]), da
@@ -275,23 +284,20 @@ class Poly:
         return self._intform
 
     def __call__(self, x):
-        """p(x) at a rational x, or at an element x of a number field.
-        An element with a rational value is evaluated as that rational
-        and gives a rational."""
+        """p(x) at a rational x, or at an irrational element x of a
+        number field, as a point: a rational when the value is one."""
         # integer Horner with one reduction at the end: far cheaper
         # than per-step gcd normalization once coefficients are huge
-        x = _as_point(x)
         ev, _, ad = _evaluator(x)
         ints, denom = self.int_form()
         den = denom * ad ** max(self.degree, 0)
-        vals = [RAT(c, den) for c in ev(ints)]
         if isinstance(x, NumberFieldElement):
-            return NumberFieldElement(x.field, tuple(vals))
-        return vals[0]
+            return x.field.element(ev(ints), den)
+        return RAT(ev(ints)[0], den)
 
     def evaluates_to_zero(self, x) -> bool:
         """Whether p(x) = 0, skipping the final normalization over Q."""
-        ev, _, _ = _evaluator(_as_point(x))
+        ev, _, _ = _evaluator(x)
         return not any(ev(self.int_form()[0]))
 
     def derivative(self) -> "Poly":
@@ -320,14 +326,6 @@ class Poly:
             else:
                 terms.append(f"({c})*z^{i}")
         return "Poly(" + " + ".join(terms) + ")"
-
-
-def _as_point(x):
-    """x as a rational, or x itself when it is an irrational element of a
-    number field."""
-    if isinstance(x, NumberFieldElement):
-        return x.as_rational() if x.is_rational() else x
-    return QQ.coerce(x)
 
 
 # ---------------------------------------------------------------------------
@@ -568,9 +566,26 @@ def excerpt(text: str) -> str:
     return text if len(text) <= MAX_EXCERPT else text[:MAX_EXCERPT] + "..."
 
 
+# the most digits in one run of a numeric token, a numerator or a
+# denominator: Python's own default int_max_str_digits
+MAX_DIGITS = 4300
+
+_DIGIT_RUN = re.compile(r"\d+")
+
+
+def check_digits(text: str) -> str:
+    """text, or ValueError before any conversion when a run of digits in
+    it is longer than MAX_DIGITS: the number it names would cost time
+    and output that grow with its length."""
+    if any(len(run) > MAX_DIGITS for run in _DIGIT_RUN.findall(text)):
+        raise ValueError(f"number {excerpt(text)!r} has more than {MAX_DIGITS} digits")
+    return text
+
+
 def parse_int(text: str) -> int:
-    """int(text), whose error line quotes at most MAX_EXCERPT characters
-    of the text (int() itself quotes 200)."""
+    """int(text) under the MAX_DIGITS cap, whose error line quotes at
+    most MAX_EXCERPT characters of the text (int() itself quotes 200)."""
+    check_digits(text)
     try:
         return int(text)
     except ValueError:
@@ -616,34 +631,19 @@ class NumberField:
         fld.cyclotomic_index = n
         return fld
 
-    def coerce(self, v) -> "NumberFieldElement":
-        if isinstance(v, NumberFieldElement):
-            if v.field is not self and v.field != self:
-                raise TypeError("element of a different number field")
-            return v
-        if isinstance(v, (int, numbers.Rational)) or type(v) is RAT:
-            return self.element([QQ.coerce(v)])
-        raise TypeError(f"cannot coerce {v!r} into {self!r}")
-
-    def element(self, coeffs: Sequence) -> "NumberFieldElement":
-        cs = [QQ.coerce(c) for c in coeffs]
-        if len(cs) > self.degree:
-            rem = Poly(QQ, cs) % self.minpoly
-            cs = list(rem.coeffs)
-        cs += [QQ.zero] * (self.degree - len(cs))
-        return NumberFieldElement(self, tuple(cs))
-
-    @property
-    def zero(self):
-        return self.element([])
-
-    @property
-    def one(self):
-        return self.element([1])
-
-    @property
-    def gen(self):
-        return self.element([0, 1])
+    def element(self, ints, den: int):
+        """The point sum_i ints[i] a^i / den, for an integer list ints
+        of any length and a nonzero integer den, reduced mod p: a
+        rational when its value is rational, else an element in lowest
+        terms with den > 0."""
+        v = _mod_zz(ints, self._minpoly_ints)
+        if not any(v[1:]):
+            return RAT(v[0], den)
+        g = den
+        for c in v:
+            g = _int_gcd(g, c)
+        g = int(g) if den > 0 else -int(g)
+        return NumberFieldElement(self, tuple(c // g for c in v), den // g)
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.minpoly.coeffs == other.minpoly.coeffs
@@ -655,131 +655,70 @@ class NumberField:
 
 
 class NumberFieldElement:
-    """Residue polynomial of degree < deg(p) over Q, reduced mod p."""
+    """An irrational element of a number field: the residue of degree
+    < deg(p) with integer coefficients num over the denominator den,
+    in lowest terms, as `NumberField.element` builds it.  An element is
+    never rational, so it equals no rational and is never zero."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: NumberField, coeffs: tuple):
+    def __init__(self, field: NumberField, num: tuple, den: int):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("NumberFieldElement is immutable")
 
-    def _co(self, other):
-        if isinstance(other, NumberFieldElement):
-            if other.field is not self.field and other.field != self.field:
-                raise TypeError("elements of different number fields")
-            return other
-        return self.field.coerce(other)
-
-    def __add__(self, other):
-        other = self._co(other)
-        return NumberFieldElement(
-            self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return NumberFieldElement(self.field, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-self._co(other))
-
-    def __rsub__(self, other):
-        return (-self) + self._co(other)
-
     def __mul__(self, other):
-        # integer convolution, reduction modulo the monic integer
-        # minimal polynomial, and one normalisation per coefficient
-        other = self._co(other)
+        """The product with an element of the same field or a rational:
+        integer convolution mod the minimal polynomial, one gcd."""
         fld = self.field
-        an, ad = _int_vector(self.coeffs)
-        bn, bd = _int_vector(other.coeffs)
-        prod = _mulmod_zz(an, bn, fld._minpoly_ints)
-        den = ad * bd
-        if den == 1:
-            return NumberFieldElement(fld, tuple(RAT(c) for c in prod))
-        return NumberFieldElement(fld, tuple(RAT(c, den) for c in prod))
+        if isinstance(other, NumberFieldElement):
+            return fld.element(_mulmod_zz(self.num, other.num, fld._minpoly_ints), self.den * other.den)
+        return fld.element([c * int(other.numerator) for c in self.num], self.den * int(other.denominator))
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "NumberFieldElement":
-        if not self:
-            raise ZeroDivisionError("inverse of zero in a number field")
-        fld = self.field
-        if self.is_rational():
-            return fld.element([1 / self.coeffs[0]])
-        # b = 1/a solves M(a) b = e_0, whose column c is a t^c mod p
-        an, ad = _int_vector(self.coeffs)
-        mp = fld._minpoly_ints
-        d = fld.degree
-        cols = [an]
-        for _ in range(d - 1):
-            top = cols[-1]
-            shifted = [0] + top[:-1]
-            if top[-1]:
-                shifted = [s - top[-1] * m for s, m in zip(shifted, mp)]
-            cols.append(shifted)
-        b = solve_linear_system(list(zip(*cols)), [1] + [0] * (d - 1))
-        return NumberFieldElement(fld, tuple(ad * v for v in b))
-
-    def __truediv__(self, other):
-        return self * self._co(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self._co(other) * self.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __bool__(self):
-        return any(self.coeffs)
+    def inverse(self):
+        # 1/a = den b for the b with M(num) b = e_0, whose column c is
+        # num t^c mod p; M is invertible, since a is not zero
+        mp = self.field._minpoly_ints
+        cols = [self.num]
+        for _ in range(len(self.num) - 1):
+            cols.append(_mod_zz([0, *cols[-1]], mp))
+        y, det = _solve_zz([list(row) + [int(i == 0)] for i, row in enumerate(zip(*cols))])
+        return self.field.element([self.den * c for c in y], det)
 
     def __eq__(self, other):
-        if isinstance(other, (int, numbers.Rational)) or type(other) is RAT:
-            other = self.field.coerce(other)
-        if not isinstance(other, NumberFieldElement):
-            return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return (
+            isinstance(other, NumberFieldElement)
+            and self.num == other.num
+            and self.den == other.den
+            and (self.field is other.field or self.field == other.field)
+        )
 
     def __hash__(self):
         # the keys of one table share a field, and hashing it would hash
         # its minimal polynomial on every lookup
-        return hash(self.coeffs)
-
-    def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("element is not rational")
-        return self.coeffs[0]
+        return hash((self.num, self.den))
 
     def __repr__(self):
         """The element in manifest syntax, a polynomial in t such as
         -1-t^2+3/2*t^3; a point prints this way wherever it is named."""
         out = ""
-        for i, c in enumerate(self.coeffs):
-            if not c:
+        for i, n in enumerate(self.num):
+            if not n:
                 continue
+            g = int(_int_gcd(n, self.den))
+            c = str(n // g) if g == self.den else f"{n // g}/{self.den // g}"
             if i == 0:
-                term = str(c)
+                term = c
             else:
                 power = "t" if i == 1 else f"t^{i}"
-                term = power if c == 1 else f"-{power}" if c == -1 else f"{c}*{power}"
+                term = power if c == "1" else f"-{power}" if c == "-1" else f"{c}*{power}"
             out += term if not out or term.startswith("-") else "+" + term
-        return out or "0"
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -818,18 +757,14 @@ def is_irreducible(p: Poly) -> bool:
 # exact linear algebra over Q
 
 
-def solve_linear_system(matrix: list[list[Fraction]], rhs: list[Fraction]):
-    """Solve M x = b over Q: each row is scaled to integers, fraction-free
-    (Bareiss) elimination triangularises the augmented matrix, and
-    back-substitution runs in rationals.  Every division in the
-    elimination is exact, since each entry becomes a minor of the input.
-
-    Returns the solution vector, or None if the square system is singular.
-    """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
-        raise ValueError("square system expected")
-    aug = [_int_vector([QQ.coerce(v) for v in row] + [QQ.coerce(b)])[0] for row, b in zip(matrix, rhs)]
+def _solve_zz(aug: list):
+    """(y, D) with M y = D b, for the integer rows [M | b] of a square
+    system with M nonsingular, or None when M is singular.  Fraction-free
+    (Bareiss) elimination triangularises the rows; every division in it
+    is exact, since each entry becomes a minor of the input.  D is the
+    last pivot, det M up to sign, so y = D M^-1 b is integral (Cramer)
+    and the back-substitution divides exactly too."""
+    n = len(aug)
     prev = 1
     for k in range(n):
         if not aug[k][k]:
@@ -844,8 +779,24 @@ def solve_linear_system(matrix: list[list[Fraction]], rhs: list[Fraction]):
             for j in range(k + 1, n + 1):
                 row[j] = (row[j] * pivot - a * top[j]) // prev
         prev = pivot
-    x = [RAT(0)] * n
+    y = [0] * n
     for i in range(n - 1, -1, -1):
         row = aug[i]
-        x[i] = (row[n] - sum(row[j] * x[j] for j in range(i + 1, n))) / RAT(row[i])
-    return x
+        y[i] = (prev * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
+    return y, prev
+
+
+def solve_linear_system(matrix: list[list[Fraction]], rhs: list[Fraction]):
+    """Solve M x = b over Q: each row is scaled to integers and `_solve_zz`
+    solves the integer system; x = y / D.
+
+    Returns the solution vector, or None if the square system is singular.
+    """
+    n = len(matrix)
+    if any(len(row) != n for row in matrix) or len(rhs) != n:
+        raise ValueError("square system expected")
+    sol = _solve_zz([_int_vector([QQ.coerce(v) for v in row] + [QQ.coerce(b)])[0] for row, b in zip(matrix, rhs)])
+    if sol is None:
+        return None
+    y, det = sol
+    return [RAT(c, det) for c in y]

@@ -5,8 +5,8 @@ of steps (explicit rational map, degree-1 automorphism, or a
 product-form step given by support and exponents), each with claimed
 ramification data and claimed output set.  Every map is over Q, so its
 num and den coefficients are rationals; points are rationals or, in a
-cyclotomic chain, expressions in the generator t.  Certificates: nodes,
-parametrized arrows, and an ordered claim list for the diagram
+cyclotomic chain, polynomials over Q in the generator t.  Certificates:
+nodes, parametrized arrows, and an ordered claim list for the diagram
 checker.  All numbers are exact decimal strings.
 """
 
@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .belyi import MAX_BELYI_SUPPORT_SIZE
-from .exact import NumberField, Poly, QQ, RationalField, excerpt, parse_int, prime_list
-from .rmap import INF, RationalMap, is_inf
+from .exact import NumberField, Poly, QQ, RationalField, check_digits, excerpt, parse_int, prime_list
+from .rmap import INF, RationalMap
 from .cover import Arrow, DiagramCertificate, Fiber, ParamIndex
 
 CHAIN_HEADER = "ramcalc-chain 1"
@@ -60,19 +60,18 @@ def _degree(v) -> int:
 
 
 class _ExprParser:
-    """Recursive-descent parser for exact expressions; evaluates nothing
-    but field arithmetic.
+    """Recursive-descent parser for polynomials over Q, each value a
+    rational or a `Poly`.
 
     Grammar: expr = term (('+'|'-') term)*; term = factor (('*'|'/')
     factor)*; factor = '-'* atom (('^'|'**') int)?; atom = number | name
     | (expr), where a number is an integer or a decimal and each name
-    is a key of `gens`, the generators the caller allows.  Division is
+    is a key of `gens`, the variables the caller allows.  Division is
     by nonzero constants only, and parentheses nest at most MAX_DEGREE
     deep.
     """
 
-    def __init__(self, field, gens: dict, tokens):
-        self.field = field
+    def __init__(self, gens: dict, tokens):
         self.gens = gens
         self.toks = tokens
         self.pos = 0
@@ -106,10 +105,10 @@ class _ExprParser:
             op = self.take()
             w = self.factor()
             if op == "/":
-                if isinstance(w, Poly):
-                    raise ManifestError("division by a polynomial")
                 if not w:
                     raise ManifestError("division by zero")
+                if isinstance(w, Poly):
+                    raise ManifestError("division by a polynomial")
                 w = 1 / w
             if _degree(v) + _degree(w) > MAX_DEGREE:
                 raise ManifestError(f"degree above {MAX_DEGREE}")
@@ -138,7 +137,8 @@ class _ExprParser:
         if tok is None:
             raise ManifestError("unexpected end of expression")
         if tok[0].isdigit() or tok[0] == ".":
-            return self.field.coerce(int(tok) if tok.isdigit() else Fraction(tok))
+            check_digits(tok)
+            return QQ.coerce(int(tok) if tok.isdigit() else Fraction(tok))
         if tok in self.gens:
             return self.gens[tok]
         if tok == "(":
@@ -154,19 +154,21 @@ class _ExprParser:
 
 
 def parse_point(field, s: str):
-    """Parse 'inf' or a field-element expression in the generator t (or T)."""
+    """'inf', or a polynomial over Q in the generator t (or T) of the
+    field, reduced once mod its minimal polynomial into a point."""
     s = s.strip()
     if s == "inf":
         return INF
-    gens = {} if isinstance(field, RationalField) else dict.fromkeys("tT", field.gen)
-    return _ExprParser(field, gens, _tokenize(s)).parse()
+    gens = {} if isinstance(field, RationalField) else dict.fromkeys("tT", Poly(QQ, [0, 1]))
+    v = _ExprParser(gens, _tokenize(s)).parse()
+    return field.element(*v.int_form()) if isinstance(v, Poly) else v
 
 
 def parse_poly(s: str) -> Poly:
     """Parse a polynomial in z over Q.  Raises ManifestError on bad
     syntax, division by a non-constant, and exponents or degrees above
     MAX_DEGREE."""
-    v = _ExprParser(QQ, {"z": Poly(QQ, [0, 1])}, _tokenize(s.strip())).parse()
+    v = _ExprParser({"z": Poly(QQ, [0, 1])}, _tokenize(s.strip())).parse()
     return v if isinstance(v, Poly) else Poly(QQ, [v])
 
 
@@ -238,9 +240,9 @@ _STEP_KEYS = ("support", "exponents", "num", "den", "ram", "out")
 
 
 def parse_support(text: str) -> tuple:
-    """A belyi support: at most MAX_BELYI_SUPPORT_SIZE rationals,
-    separated by commas or spaces."""
-    entries = text.replace(",", " ").split()
+    """A belyi support: at most MAX_BELYI_SUPPORT_SIZE rationals under
+    the `check_digits` bound, separated by commas or spaces."""
+    entries = [check_digits(q) for q in text.replace(",", " ").split()]
     if len(entries) > MAX_BELYI_SUPPORT_SIZE:
         raise ManifestError(f"support of size {len(entries)} is above {MAX_BELYI_SUPPORT_SIZE}")
     try:
@@ -254,11 +256,9 @@ def _parse_coeffs(rest: str) -> Poly:
     coeffs = []
     for c in rest.split():
         try:
-            coeffs.append(parse_point(QQ, c))
+            coeffs.append(_ExprParser({}, _tokenize(c)).parse())
         except ManifestError as exc:
             raise ManifestError(f"map coefficient {excerpt(c)!r} is not rational: {exc}") from None
-    if any(is_inf(c) for c in coeffs):
-        raise ManifestError("inf is not a coefficient")
     return Poly(QQ, coeffs)
 
 
@@ -378,30 +378,14 @@ def render_cert(m: CertificateManifest) -> str:
         for label, fiber in arrow.fibers.items():
             idx = " ".join(str(p) for p in fiber.data)
             lines.append(f"fiber {arrow.name} {label} {fiber.form} {idx}")
-    for claim in cert.claims:
-        kind = claim[0]
-        if kind == "profile":
-            _, arrow, basis = claim
-            lines.append(f"claim profile {arrow.name} {basis}")
-        elif kind == "assume":
-            _, tag, text = claim
-            lines.append(f"claim assume {tag} {text}")
-        elif kind == "unramified":
-            _, nm, f_name, g_name = claim
-            lines.append(f"claim unramified {nm} {f_name} {g_name}")
-        elif kind == "project":
-            _, arrow, f_name, g_name, at_labels = claim
-            lines.append(
-                f"claim project {arrow.name} {f_name} {g_name} at " + " ".join(at_labels)
-            )
-        elif kind == "compose":
-            _, arrow, outer, inner = claim
-            lines.append(f"claim compose {arrow.name} {outer} {inner}")
-        elif kind == "conclude":
-            _, src, tgt = claim
-            lines.append(f"claim conclude {src} {tgt}")
-        else:
+    for kind, *fields in cert.claims:
+        if kind not in _CLAIM_FIELDS and kind != "assume":
             raise ManifestError(f"unknown claim kind {kind!r}")
+        # arrows print by name, and a project claim's labels follow "at"
+        words = [f.name if isinstance(f, Arrow) else f for f in fields]
+        if kind == "project":
+            words[-1:] = ["at", *words[-1]]
+        lines.append(" ".join(["claim", kind, *words]))
     return "\n".join(lines) + "\n"
 
 

@@ -2,7 +2,9 @@
 
 Maps are pairs of coprime polynomials over Q.  Points live on the
 projective line over Q or a number field K: either a rational, an
-element of K, or the point at infinity.  All computations are exact.
+irrational element of K, or the point at infinity, in the one form
+`exact` gives them; a map's value at a point is in that form too.  All
+computations are exact.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from .exact import (
     NumberFieldElement,
     Poly,
     QQ,
-    _as_point,
     _derivative_ints,
     _evaluator,
     _order_ints,
@@ -109,8 +110,7 @@ class RationalMap:
         return self.eval(x)
 
     def eval(self, x):
-        """Value at a projective point; total on the line.  A point with
-        a rational value has a rational image."""
+        """Value at a projective point, as a point; total on the line."""
         if is_inf(x):
             dn, dd = self.num.degree, self.den.degree
             if dn > dd:
@@ -121,7 +121,7 @@ class RationalMap:
         q = self.den(x)
         if not q:
             return INF
-        return self.num(x) / q
+        return self.num(x) * (q.inverse() if isinstance(q, NumberFieldElement) else 1 / q)
 
     # -- structure -----------------------------------------------------
 
@@ -143,7 +143,7 @@ class RationalMap:
                 return d
             # move x to 0 by z -> 1/z on the source: z^d P(1/z), z^d Q(1/z)
             p, q, x = p[::-1], q[::-1], QQ.zero
-        ev, mul, _ = _evaluator(_as_point(x))
+        ev, mul, _ = _evaluator(x)
         q0 = ev(q)
         if not any(q0):
             return _order_ints(q, ev)
@@ -223,13 +223,6 @@ def verify_chain(manifest) -> ChainReport:
     as they were; a step whose only fault is its claimed output set
     still moves them.
     """
-    field = manifest.field
-
-    def coerce(pt):
-        # a point with a rational value has a rational image; every
-        # tracked point is held in the chain's field
-        return pt if is_inf(pt) else field.coerce(pt)
-
     tracked: dict = {}  # point -> composite indices reaching it
     for pt, idx in manifest.start:
         tracked.setdefault(pt, set()).add(idx)
@@ -244,8 +237,8 @@ def verify_chain(manifest) -> ChainReport:
             pushed = []
             for pt, idxs in tracked.items():
                 img, e = move(pt)
-                pushed.append((coerce(img), {a * e for a in idxs}))
-            pushed += [(coerce(img), {e}) for img, e in branch]
+                pushed.append((img, {a * e for a in idxs}))
+            pushed += [(img, {e}) for img, e in branch]
             new_tracked: dict = {}
             for img, indices in pushed:
                 new_tracked.setdefault(img, set()).update(indices)
@@ -324,11 +317,7 @@ def _belyi_step(step):
         if is_inf(pt):
             return QQ.one, k - 1
         if isinstance(pt, NumberFieldElement):
-            if not pt.is_rational():
-                raise VerificationError(
-                    f"step {step.name}: belyi-form step needs rational points, got {pt}"
-                )
-            pt = pt.as_rational()
+            raise VerificationError(f"step {step.name}: belyi-form step needs rational points, got {pt}")
         r = support.get(pt)
         if r is None:
             raise VerificationError(

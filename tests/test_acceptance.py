@@ -23,7 +23,7 @@ from ramcalc.cover import (
     standard_projection_profile,
     verify_certificate,
 )
-from ramcalc.exact import QQ, Poly, cyclotomic, is_smooth
+from ramcalc.exact import QQ, RAT, Poly, cyclotomic, is_smooth
 from ramcalc.manifest import bundled_text, parse_cert, parse_chain
 from ramcalc.relation import CurveNode, RuleStore
 from ramcalc.rmap import is_inf, verify_chain
@@ -52,12 +52,7 @@ def test_criterion_01_quintic_chain():
     ok = rep.passed
 
     # final branch locus is exactly {0, 1, infinity}
-    finals = set()
-    for pt in rep.final_set:
-        if is_inf(pt):
-            finals.add("inf")
-        else:
-            finals.add(str(pt.as_rational()))
+    finals = {"inf" if is_inf(pt) else str(RAT(pt)) for pt in rep.final_set}
     ok = ok and finals == {"0", "1", "inf"}
 
     # composite indices are {2,3}-smooth

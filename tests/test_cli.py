@@ -18,6 +18,7 @@ import pytest
 import ramcalc
 from ramcalc import belyi, cli, contract
 from ramcalc.cli import main
+from ramcalc.exact import excerpt
 from ramcalc.manifest import bundled_text
 
 
@@ -56,6 +57,34 @@ from ramcalc import cli
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
 
+
+def chain_mutants(name: str, seeds=range(4)) -> dict:
+    """{label: text} of mutants of a bundled chain: per seed, one claimed
+    index raised by 1 to 3 and one claimed output point replaced by a
+    rational with denominator 101, which no bundled chain produces; then
+    hand-picked edits that name irrational points, a swapped output
+    point and a ramification claim at t."""
+    lines = bundled_text(name).splitlines()
+    mutants = {}
+    for seed in seeds:
+        rng = random.Random(f"{name} {seed}")
+        for key in ("ram", "out"):
+            row = rng.choice([i for i, ln in enumerate(lines) if ln.startswith(key + " ")])
+            entries = lines[row].split()[1:]
+            j = rng.randrange(len(entries))
+            if key == "ram":
+                point, _, index = entries[j].rpartition(":")
+                entries[j] = f"{point}:{int(index) + rng.randint(1, 3)}"
+            else:
+                entries[j] = f"{rng.choice([n for n in range(1, 10000) if n % 101])}/101"
+            edited = lines[:row] + [" ".join([key] + entries)] + lines[row + 1:]
+            mutants[f"{key}-{seed}"] = "\n".join(edited) + "\n"
+    text = bundled_text(name)
+    swap = ("t^2+t^3 inf", "t^2+t^4 inf") if name == "prop9.chain" else ("t^2+t^5 ", "t^2+t^4 ")
+    for label, (old, new) in (("out-irrational", swap), ("ram-irrational", ("ram 1:2", "ram t:2"))):
+        assert text.count(old) == 1
+        mutants[label] = text.replace(old, new)
+    return mutants
 
 class TestVerify:
     def test_bundled_chain_passes(self, capsys, chain_file):
@@ -358,6 +387,121 @@ print(len(paths), codes.count(0), "sympy" in sys.modules)
         assert out == "" and err == "error: map coefficient 't' is not rational: unexpected token 't'\n"
 
 
+class TestMutantReports:
+    """Failure reports of seeded chain mutants, pinned byte for byte: the
+    details name points, rational and in t, the way `str` prints them."""
+
+    # (chain, mutant, exit code, sha256 of the human report, sha256 of
+    # the --json --deterministic report), recorded at commit 105054f
+    PINNED = [
+        ("prop9.chain", "ram-0", 1,
+         "6c998d5a59f169441345341097f55f4d6e8326f781a5d01f7d46aef1dfd1b575",
+         "5a7579482c6cb6d671e75566ecf85ed8af04bffe0f1c858792cfb48f0216dd43"),
+        ("prop9.chain", "out-0", 1,
+         "5a9191db4161780637d276152a221fa2c31295cc978682361cf1413c16d2c2a3",
+         "987b1af7b371c0340a45c0f41f3291061704d62007bcd48b64253662bdc417cd"),
+        ("prop9.chain", "ram-1", 1,
+         "25bdec04d08aca68dcabc9aad52c193313882f2a6f3222814d02abff4d621d5f",
+         "544a9d69bbedb7f742a791fa8bee15cd192a2bc32eacef97298d1e435d430b85"),
+        ("prop9.chain", "out-1", 1,
+         "0b921d7c8759fade46bbf8011bd489ae19ae734bc51b89889aceb15cc15b9f82",
+         "98510340c15ddade1f00d26e018c60aa414f7411287f4bf08a731300ad45cc99"),
+        ("prop9.chain", "ram-2", 1,
+         "1314d3f4fc57f42f2c59a01a7b3a6e87967b4dcf0850889522a429569acf51ae",
+         "a1b45a2226cdb7a03aa4c97a5081d9b118d0382433a8bbb6b04a58e916995a28"),
+        ("prop9.chain", "out-2", 1,
+         "00c2577656821ba08dd996f9bc32660877ad32f4cb77b1b811847438218c7310",
+         "aaa3f2f89bd0791e04d420a937a7636fcfab5597d874e011365693b60dbcea43"),
+        ("prop9.chain", "ram-3", 1,
+         "04f6dcc203f054206b4a9180eedfe4e457eeabd2359b949a8cb9ede1340a87fa",
+         "e008004b27b1a013eacc870ad925f90f72afbd739e92abe66b1b74247353cd25"),
+        ("prop9.chain", "out-3", 1,
+         "6e1d174ebf51040bcf2d664a69e0f66d5e3a97e268be37d13e6f2b257547833d",
+         "94d28ff26d28e2b9376d38db0c30a108ebcf50168dd777ef78bbcdc26bae93db"),
+        ("prop9.chain", "out-irrational", 1,
+         "1781bee34d9f225f22221c1423402d6a62c6df574b1208aafd2bf79bac05c528",
+         "8bdbdb62b54cf9fabdaf89053ec8e4c8181cf1ae05c71e9b5aef508aa7dc8886"),
+        ("prop9.chain", "ram-irrational", 1,
+         "48ebec405f6e7617cb70abd39aa53ad003ab5f5fc11fc64c429064efc0ff7aa1",
+         "516d69549a6fc59629ba2766535f06b51743958eac740d3134f97f0ae0e14a2f"),
+        ("prop12.chain", "ram-0", 1,
+         "f1641abc153eba12919cace54b6a54dff807612608d00946301e31f7d3288728",
+         "0a453126ecf1af4fe21200d3d975c3db7950960fde96a733d281bd93a7bbe788"),
+        ("prop12.chain", "out-0", 1,
+         "2e1245a56d8b0d11c926d7f8f7ca10a444770b20931a23382d339cee42b2f908",
+         "17d9f2eaae9403b47c6c68acf3c74e502142de8a4aab6aacb8bcee90bd9aecae"),
+        ("prop12.chain", "ram-1", 1,
+         "b7977f73911349dd12f116538361f417565baf757299b816ec3a400f3e5f3c51",
+         "8b6961d54bf3ed473eebc8a2271e3f818b6d6c3d9fc6e5ce1886154b8af28349"),
+        ("prop12.chain", "out-1", 1,
+         "4719ca501e2d062de814e591905f5ec78648af60713ea07097e3c457852544c4",
+         "36715eb7634df9ef88c3ee5cc70791c7ce9908ab23cf9cd54574d9337e66de3e"),
+        ("prop12.chain", "ram-2", 1,
+         "5c4ba7d68dec6602df13f0f51bbb6d99d4862f0672dfe1569958ef9b72ccfaeb",
+         "4716faf74b0125349ad930c105cc5347cb300adc7e8ab6484fa80c3cfcea8cdb"),
+        ("prop12.chain", "out-2", 1,
+         "b21bbda6c7ca8689f4c179f9d8cc4425f9cedbe63a8f08c7dd63ea8c49a8adb9",
+         "0c9769f66009f57a80a8b2727c2b3c830cbe3bedc2b5ec11b6b653bd198f48c1"),
+        ("prop12.chain", "ram-3", 1,
+         "4c79e2a1c80f378804eca2cd983f9c9e0c246086432b56a9b11f17a7f69071f4",
+         "fea3df12b6962b189aabe3704d8077d0d3a816e5622a93ab1fe9591b152b65cd"),
+        ("prop12.chain", "out-3", 1,
+         "5c3ec6d99359824f3b251bb952b5b2f775825708c6f574b9af0a8d1b17e5587b",
+         "8e74a11f58a66d245b67f7a03e2c7eaeda0aece144fbc2aa5c12396111c788b4"),
+        ("prop12.chain", "out-irrational", 1,
+         "50d4fd4de58e776f60feebc28c90ba4c31ed543620d92925ff34bd4b12a94d49",
+         "caa27fa122733c7328b6d89573a0511629cfa2bc238b47028a8c831f55da208d"),
+        ("prop12.chain", "ram-irrational", 1,
+         "3dde15bee12981b9bd332222cefd30cc6fc163b01e04f2a7dccbdf29992ab838",
+         "bd0739ee3fc330e80bdc19d2a127b235223ed87d0a74337f27adf96921e45908"),
+        ("prop14.chain", "ram-0", 1,
+         "54d312ad796c25ba6c1d9e7716d9d4905c9a288e913cdfea7eb67532b12406a2",
+         "3ec283b12ccfbd91f7ea6ec620f0a0c40f1a6ad306efdc4b539ebe46dbfda24b"),
+        ("prop14.chain", "out-0", 1,
+         "a7596c940dd7e358d7fb0c0e72c646634a0c88aaff4f628e51050c1384abc417",
+         "ee4c7d653745fefc1c80bc37ee51026f62a2028f96e747c0e04adcc9cc49c056"),
+        ("prop14.chain", "ram-1", 1,
+         "174e0d5919a17af22bf8cee3b1233e5c1666e0da9d3f9c1bf8d4c3552e5fc614",
+         "a53037bbdb4de40d896b62921bd329dea4093dd1390084cb1acbf78341c5a418"),
+        ("prop14.chain", "out-1", 1,
+         "ad10709579b8965e75ac71fc212451f339d4b92101c2e58173060c0dd77b4b4f",
+         "48e4ea6e046fe1cd77618ff96ca31a9271450b152efbeb0d7dd5f093c2d73653"),
+        ("prop14.chain", "ram-2", 1,
+         "54d312ad796c25ba6c1d9e7716d9d4905c9a288e913cdfea7eb67532b12406a2",
+         "3ec283b12ccfbd91f7ea6ec620f0a0c40f1a6ad306efdc4b539ebe46dbfda24b"),
+        ("prop14.chain", "out-2", 1,
+         "d54300e8d65f13135740e69e1501806500732db425b2d7cb7bc5e21e1aa43cd1",
+         "008f0306f5dcdd2a78c5cea03442fc3ea6b350ef5be80da7748dc134decb7941"),
+        ("prop14.chain", "ram-3", 1,
+         "295e3f33d6c2825f8ad7ee5decbf3b4bf4a221bc36f7cb403b3bace2b02acd0b",
+         "a22b788a9f87be4a5457f9390cbd5587035ffa473b66b919fc02d7b5af7d830f"),
+        ("prop14.chain", "out-3", 1,
+         "c21fbc9916e9f43b9017bafda98973d1225b80af15fdb2a73611436b111a482c",
+         "8516ef3472a273a7ace9a9d5621fa2969d3204a55710df027c3702e3ff5439dd"),
+        ("prop14.chain", "out-irrational", 1,
+         "e2f98695c454473eeac805a4e92f3549ea53d68b1fe3c54c46456058e344b704",
+         "c2844008a908afcdd9b4f58374c6912e6b26090d1f1a0cf7b5ba7c02de7cafed"),
+        ("prop14.chain", "ram-irrational", 1,
+         "135d8f493ba61f4a0f83c30995dd25c5c85bbc94c1a9f43049fbbfcead0a8968",
+         "67cf7676cc7e7e473197e084a7302f8fbc1ec29666e98ac192b9a07e21e0d2bd"),
+    ]
+
+    @pytest.mark.parametrize("name, label, code, human, det", PINNED,
+                             ids=[f"{row[0]}-{row[1]}" for row in PINNED])
+    def test_reports_match_pinned_bytes(self, capsys, tmp_path, name, label, code, human, det):
+        p = tmp_path / f"{label}-{name}"
+        p.write_text(chain_mutants(name)[label])
+        for flags, digest in (((), human), (("--json", "--deterministic"), det)):
+            got, out, err = run(capsys, "verify", str(p), *flags)
+            assert (got, err) == (code, "")
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, flags
+
+    def test_every_mutant_is_pinned(self):
+        pinned = {(row[0], row[1]) for row in self.PINNED}
+        assert pinned == {(name, label) for name in ("prop9.chain", "prop12.chain", "prop14.chain")
+                          for label in chain_mutants(name)}
+
+
 class TestErrorLines:
     LONG = 100_000
 
@@ -432,6 +576,63 @@ class TestErrorLines:
         assert code == 2
         assert err == ("error: cannot parse polynomial 'z^2-2$': "
                        "bad character in expression 'z^2-2$' at 5\n")
+
+    # a number token of MAX_DIGITS digits in a run is read; one digit
+    # more is refused before int() or Fraction() sees it
+    CAP = "9" * 4300
+
+    @pytest.mark.parametrize("digits, code", [(CAP, 1), (CAP + "9", 2)], ids=["at-cap", "over-cap"])
+    @pytest.mark.parametrize("form", ["{}", "1/{}", "t+{}", "{}.5"])
+    def test_chain_point_digit_cap(self, capsys, tmp_path, digits, code, form):
+        p = tmp_path / "digits.chain"
+        p.write_text("ramcalc-chain 1\nname d\nfield cyclotomic 5\nstart 1:2\n"
+                     f"step f map\nnum 0 1\nden 1\nout {form.format(digits)}\n")
+        got, out, err = run(capsys, "verify", str(p))
+        assert got == code
+        if code == 2:
+            # the error line quotes the number token, not the expression
+            assert out == "" and err == f"error: number {excerpt(digits)!r} has more than 4300 digits\n"
+        else:
+            assert err == "" and "fail (erratum)" in out
+
+    @pytest.mark.parametrize("digits, code", [(CAP, 0), (CAP + "9", 2)], ids=["at-cap", "over-cap"])
+    def test_contract_coefficient_digit_cap(self, capsys, digits, code):
+        got, out, err = run(capsys, "contract", f"z-{digits}")
+        assert got == code
+        if code == 2:
+            assert out == "" and err == f"error: number {excerpt(digits)!r} has more than 4300 digits\n"
+
+    @pytest.mark.parametrize("digits, code", [(CAP, 0), (CAP + "9", 2)], ids=["at-cap", "over-cap"])
+    @pytest.mark.parametrize("form", ["{}", "1/{}"])
+    def test_belyi_entry_digit_cap(self, capsys, digits, code, form):
+        entry = form.format(digits)
+        got, out, err = run(capsys, "belyi", "exponents", f"0,1,{entry}")
+        assert got == code
+        if code == 2:
+            assert out == "" and err == f"error: number {excerpt(entry)!r} has more than 4300 digits\n"
+        else:
+            assert "result: PASS" in out
+
+    @pytest.mark.parametrize("entry", ["9" * 300_000, "1/" + "7" * 300_000])
+    def test_long_belyi_entry_refused_at_once(self, capsys, entry):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "belyi", "exponents", f"0,1,{entry}")
+        elapsed = time.perf_counter() - t0
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and len(err.encode()) < 200
+        assert elapsed < 0.1
+
+    @pytest.mark.parametrize("text", [
+        "ramcalc-chain 1\nname d\nfield rational\nbound " + CAP + "9\nstart 0:1\n",
+        "ramcalc-belyi 1\nsupport 0 1 2\nexponents 1 " + CAP + "9 1\n",
+    ], ids=["chain-bound", "belyi-exponent"])
+    def test_integer_field_digit_cap(self, capsys, tmp_path, text):
+        p = tmp_path / "digits.manifest"
+        p.write_text(text)
+        command = ["belyi", "verify"] if text.startswith(cli.BELYI_HEADER) else ["verify"]
+        code, out, err = run(capsys, *command, str(p))
+        assert (code, out) == (2, "")
+        assert err == f"error: number {excerpt(self.CAP + '9')!r} has more than 4300 digits\n"
 
 
 class TestParser:

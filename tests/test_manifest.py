@@ -1,5 +1,6 @@
 """Versioned text formats and the bundled artifacts."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -45,10 +46,18 @@ class TestPointExpressions:
             assert parse_point(K, str(p)) == p
 
     def test_arithmetic_in_expressions(self):
+        # a point is a polynomial in t over Q, reduced once mod Phi_n:
+        # sums, products, powers and division by nonzero constants
         K = NumberField.cyclotomic_field(7)
-        p = parse_point(K, "(t+2)/(t-2)")
-        q = (K.gen + K.coerce(2)) / (K.gen - K.coerce(2))
-        assert p == q
+        assert parse_point(K, "(t+2)*(t-2)/3") == parse_point(K, "-4/3+t^2/3")
+        assert parse_point(K, "(t^4)^2") == parse_point(K, "t")
+        assert parse_point(K, "t*(t^6+1)-t") == 1
+        for text, message in (("(t+2)/(t-2)", "division by a polynomial"),
+                              ("1/(t-t)", "division by zero"),
+                              ("(t^8)^9", f"exponent or degree above {MAX_DEGREE}"),
+                              ("t^40*t^25", f"degree above {MAX_DEGREE}")):
+            with pytest.raises(ManifestError, match=re.escape(message)):
+                parse_point(K, text)
 
     def test_infinity(self):
         assert parse_point(QQ, "inf") is INF

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from ramcalc.exact import QQ, NumberField, Poly, _image_poly
-from ramcalc.manifest import bundled_text, parse_chain, render_chain
+from ramcalc.exact import QQ, RAT, NumberField, NumberFieldElement, Poly, _image_poly
+from ramcalc.manifest import bundled_text, parse_chain, parse_point, render_chain
 from ramcalc.rmap import (
     INF,
     IncompletenessGap,
@@ -16,7 +16,14 @@ from ramcalc.rmap import (
     verify_chain,
 )
 
-from helpers import cube_root_of_two_field
+from helpers import (
+    assert_point_form,
+    cube_root_of_two_field,
+    element,
+    horner_mod,
+    modulus,
+    point_poly,
+)
 
 
 def rmap(num, den=(1,)):
@@ -67,42 +74,35 @@ def random_poly(rng, degree):
 
 def irrational_element(K, rng):
     while True:
-        x = K.element([random_rational(rng) for _ in range(K.degree)])
-        if not x.is_rational():
+        x = element(K, [random_rational(rng) for _ in range(K.degree)])
+        if isinstance(x, NumberFieldElement):
             return x
-
-
-def value(p, x):
-    """p(x) by Horner in Fraction or field arithmetic."""
-    acc = x.field.zero if hasattr(x, "field") else Fraction(0)
-    for c in reversed(p.coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def reference_local_index(f, x):
     """The local index as computed before the integer kernels: one
-    derivative `Poly` per order, values in Fraction or field arithmetic,
-    and a second map, z -> 1/z on the source, at infinity."""
+    derivative `Poly` per order, values by Horner in `Poly` arithmetic
+    mod the modulus of x (`helpers.horner_mod`), and a second map,
+    z -> 1/z on the source, at infinity."""
     if x == INF:
         if f.den.degree == 0:
             return f.num.degree
         d = f.degree
         num, den = (Poly(QQ, (list(p.coeffs) + [0] * (d - p.degree))[::-1]) for p in (f.num, f.den))
         return reference_local_index(RationalMap(num, den), Fraction(0))
-    q = value(f.den, x)
+    q = horner_mod(f.den, x)
     if not q:
         den, order = f.den, 0
-        while not value(den, x):
+        while not horner_mod(den, x):
             den, order = den.derivative(), order + 1
         return order
-    p = value(f.num, x)
+    p = horner_mod(f.num, x)
     num, den = f.num, f.den
     j = 0
     while True:
         j += 1
         num, den = num.derivative(), den.derivative()
-        if q * value(num, x) != p * value(den, x):
+        if (q * horner_mod(num, x) - p * horner_mod(den, x)) % modulus(x):
             return j
 
 
@@ -111,9 +111,9 @@ def planted_point(K, rng, kind):
     once, the minimal polynomial for an irrational element."""
     if kind == "irrational":
         x = irrational_element(K, rng)
-        return x, _image_poly(Poly(QQ, x.coeffs), K.minpoly)
+        return x, _image_poly(point_poly(x), K.minpoly)
     r = random_rational(rng)
-    return (r if kind == "rational" else K.coerce(r)), Poly(QQ, [-r, 1])
+    return (r if kind == "rational" else element(K, [r])), Poly(QQ, [-r, 1])
 
 
 class TestLocalIndexAgreement:
@@ -131,7 +131,7 @@ class TestLocalIndexAgreement:
             x, m = planted_point(K, rng, kind)
             e = rng.randint(1, 4)
             Q, R = random_poly(rng, rng.randint(0, 4)), random_poly(rng, rng.randint(0, 3))
-            if Q.is_zero() or not value(Q, x) or R.is_zero() or not (R % m):
+            if Q.is_zero() or not horner_mod(Q, x) or R.is_zero() or not (R % m):
                 continue
             f = RationalMap(Q * random_rational(rng) + m ** e * R, Q)
             assert f.local_index(x) == reference_local_index(f, x) == e
@@ -147,7 +147,7 @@ class TestLocalIndexAgreement:
             x, m = planted_point(K, rng, kind)
             e = rng.randint(1, 4)
             P, R = random_poly(rng, rng.randint(0, 5)), random_poly(rng, rng.randint(0, 2))
-            if P.is_zero() or R.is_zero() or not value(P, x) or not value(R, x):
+            if P.is_zero() or R.is_zero() or not horner_mod(P, x) or not horner_mod(R, x):
                 continue
             f = RationalMap(P, m ** e * R)
             assert f.local_index(x) == reference_local_index(f, x) == e
@@ -162,7 +162,7 @@ class TestLocalIndexAgreement:
             if P.is_zero() or Q.is_zero() or max(P.degree, Q.degree) < 1:
                 continue
             f = RationalMap(P, Q)
-            for x in (INF, irrational_element(K, rng), K.coerce(random_rational(rng)), random_rational(rng)):
+            for x in (INF, irrational_element(K, rng), element(K, [random_rational(rng)]), random_rational(rng)):
                 assert f.local_index(x) == reference_local_index(f, x)
             cases += 1
 
@@ -170,11 +170,11 @@ class TestLocalIndexAgreement:
         chain = parse_chain(bundled_text("prop9.chain"))
         (f9,) = [s.map for s in chain.steps if s.name == "f9"]
         K = chain.field
-        for x, e in ((1, 32), (0, 27), (10, 8), (16, 3), (INF, 3), (K.gen, 1)):
+        for x, e in ((1, 32), (0, 27), (10, 8), (16, 3), (INF, 3), (parse_point(K, "t"), 1)):
             assert f9.local_index(x) == reference_local_index(f9, x) == e
         # a rational value reached through irrational arithmetic
-        one = -sum((K.gen ** i for i in range(1, 5)), K.zero)
-        assert one.is_rational() and f9.local_index(one) == 32
+        one = parse_point(K, "-t-t^2-t^3-t^4")
+        assert one == 1 and f9.local_index(one) == 32
 
 
 class TestRamDivisor:
@@ -220,8 +220,62 @@ class TestChainVerification:
         assert any(s.erratum for s in report.steps)
 
     def test_composite_indices_multiply_along_orbits(self):
-        K = NumberField.cyclotomic_field(5)
         report = verify_chain(parse_chain(bundled_text("prop9.chain")))
         assert all(i > 1 for i in report.composite_indices)
         # every composite index divides the recorded bound
         assert all(report.bound % i == 0 for i in report.composite_indices)
+
+
+class TestPointForm:
+    """No element with a rational value comes out of `parse_point`,
+    `Poly.__call__` or `RationalMap.eval`: every point is inf, a
+    rational, or an irrational element in lowest terms."""
+
+    @pytest.mark.parametrize("name", ["prop9.chain", "prop12.chain", "prop14.chain"])
+    def test_bundled_chain_points_and_their_images(self, name):
+        chain = parse_chain(bundled_text(name))
+        points = [p for p, _ in chain.start]
+        for step in chain.steps:
+            points += [p for p, _ in step.ram] + list(step.out)
+        assert any(isinstance(p, NumberFieldElement) for p in points)
+        for p in points:
+            assert_point_form(p)
+        for step in chain.steps:
+            if step.map is None:
+                continue
+            for p in points:
+                assert_point_form(step.map.eval(p))
+                if p is not INF:
+                    assert_point_form(step.map.num(p))
+                    assert_point_form(step.map.den(p))
+
+    def test_rational_values_of_irrational_arguments(self):
+        K = NumberField.cyclotomic_field(5)
+        t = parse_point(K, "t")
+        z5 = Poly(QQ, [0, 0, 0, 0, 0, 1])
+        assert type(z5(t)) is RAT and z5(t) == 1
+        assert type(K.minpoly(t)) is RAT and K.minpoly(t) == 0
+        # (z^5 + 1) / (z^5 - 2) at t is 2 / -1
+        assert rmap([1, 0, 0, 0, 0, 1], [-2, 0, 0, 0, 0, 1]).eval(t) == -2
+        # t^3 (t^2 + 1) = 1 + t^3
+        assert parse_point(K, "t^2+1") * parse_point(K, "t^3") == parse_point(K, "1+t^3")
+        for text, value in (("t^5", 1), ("t+t^2+t^3+t^4", -1), ("(t^4)^4*t^4", 1), ("t-t", 0)):
+            p = parse_point(K, text)
+            assert_point_form(p)
+            assert p == value
+
+    @pytest.mark.parametrize("K", FIELDS, ids=FIELD_IDS)
+    def test_seeded_evaluations(self, K):
+        # p = m R + c with m the minimal polynomial of x has the rational
+        # value c at x; a random p has an irrational value there
+        rng = random.Random(f"form {K!r}")
+        for _ in range(40):
+            x = irrational_element(K, rng)
+            m = _image_poly(point_poly(x), K.minpoly)
+            c = random_rational(rng)
+            p = m * random_poly(rng, rng.randint(0, 3)) + c
+            assert_point_form(p(x))
+            assert p(x) == c
+            q = random_poly(rng, rng.randint(1, 5))
+            assert_point_form(q(x))
+            assert_point_form(RationalMap(p, q).eval(x))

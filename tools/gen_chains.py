@@ -1,11 +1,10 @@
 """Generate the bundled chain artifacts from exact step data."""
 import sys
 sys.path.insert(0, "src")
-from fractions import Fraction
 
 from ramcalc.exact import QQ, NumberField, Poly
-from ramcalc.manifest import ChainManifest, ChainStep, render_chain, parse_chain
-from ramcalc.rmap import INF, RationalMap, verify_chain
+from ramcalc.manifest import ChainManifest, ChainStep, render_chain, parse_chain, parse_point
+from ramcalc.rmap import RationalMap, verify_chain
 
 
 def P(coeffs):
@@ -21,38 +20,39 @@ def expand(roots_with_mult):
     return out
 
 
+def points(K, text):
+    """The points of a space-separated manifest list, read in K."""
+    return [parse_point(K, p) for p in text.split()]
+
+
+def ram_points(K, text):
+    """(point, index) pairs of a manifest `ram` list, read in K."""
+    return [(parse_point(K, p), int(e)) for p, _, e in (item.rpartition(":") for item in text.split())]
+
+
 def build_prop9():
     K = NumberField.cyclotomic_field(5)
-    t = K.gen
-    start = [(K.one, 2), (t, 2), (t ** 2, 2), (t ** 3, 2), (t ** 4, 2), (INF, 2)]
+    start = [(p, 2) for p in points(K, "1 t t^2 t^3 t^4 inf")]
     steps = []
 
     def mk(name, kind, num, den, ram, out):
         steps.append(ChainStep(
-            name=name, kind=kind,
-            map=RationalMap(P(num), P(den)),
-            ram=[(K.coerce(p) if p != "inf" else INF, e) for p, e in ram],
-            out=[p if p is INF else K.coerce(p) for p in out],
+            name=name, kind=kind, map=RationalMap(P(num), P(den)),
+            ram=ram_points(K, ram), out=points(K, out),
         ))
 
-    mk("f2", "map", [1, 0, 1], [0, 1], [(1, 2), (-1, 2)],
-       [2, -2, t + t ** 4, t ** 2 + t ** 3, INF])
-    mk("f3", "auto", [-1], [0, 1], [],
-       [Fraction(-1, 2), Fraction(1, 2), t ** 2 + t ** 3, t + t ** 4, 0])
-    mk("f4", "map", [-1, 1, 1], [1], [(Fraction(-1, 2), 2), ("inf", 2)],
-       [Fraction(-5, 4), Fraction(-1, 4), 0, -1, INF])
-    mk("f5", "auto", [0, -4], [1], [], [5, 1, 0, 4, INF])
-    mk("f6", "map", [25, -20, 4], [1], [(Fraction(5, 2), 2), ("inf", 2)],
-       [25, 9, 0, INF])
-    mk("f7", "map", [225, 30, 1], [0, 4], [(15, 2), (-15, 2)],
-       [16, INF, 15, 0])
-    mk("f8", "auto", [0, 1], [-15, 1], [], [16, 1, INF, 0])
+    mk("f2", "map", [1, 0, 1], [0, 1], "1:2 -1:2", "2 -2 t+t^4 t^2+t^3 inf")
+    mk("f3", "auto", [-1], [0, 1], "", "-1/2 1/2 t^2+t^3 t+t^4 0")
+    mk("f4", "map", [-1, 1, 1], [1], "-1/2:2 inf:2", "-5/4 -1/4 0 -1 inf")
+    mk("f5", "auto", [0, -4], [1], "", "5 1 0 4 inf")
+    mk("f6", "map", [25, -20, 4], [1], "5/2:2 inf:2", "25 9 0 inf")
+    mk("f7", "map", [225, 30, 1], [0, 4], "15:2 -15:2", "16 inf 15 0")
+    mk("f8", "auto", [0, 1], [-15, 1], "", "16 1 inf 0")
     num9 = expand([(1, 32), (16, 3)])
     den9 = expand([(10, 8), (0, 27)])
     steps.append(ChainStep(
         name="f9", kind="map", map=RationalMap(num9, den9),
-        ram=[(K.coerce(0), 27), (K.coerce(1), 32), (K.coerce(10), 8), (K.coerce(16), 3), (INF, 3)],
-        out=[K.zero, K.one, INF],
+        ram=ram_points(K, "0:27 1:32 10:8 16:3 inf:3"), out=points(K, "0 1 inf"),
     ))
     return ChainManifest(
         name="quintic-branch-collapse", field=K, start=start, steps=steps,
@@ -62,33 +62,29 @@ def build_prop9():
 
 def build_prop12_like(name, h6_support, h6_exponents, bound, bound_primes):
     K = NumberField.cyclotomic_field(7)
-    t = K.gen
-    start = [(K.one, 2)] + [(t ** i, 2) for i in range(1, 7)] + [(INF, 2)]
+    start = [(p, 2) for p in points(K, "1 t t^2 t^3 t^4 t^5 t^6 inf")]
     steps = []
     steps.append(ChainStep(
         name="h2", kind="map", map=RationalMap(P([1, 0, 1]), P([0, 1])),
-        ram=[(K.coerce(1), 2), (K.coerce(-1), 2)],
-        out=[K.coerce(2), K.coerce(-2), t + t ** 6, t ** 2 + t ** 5, t ** 3 + t ** 4, INF],
+        ram=ram_points(K, "1:2 -1:2"), out=points(K, "2 -2 t+t^6 t^2+t^5 t^3+t^4 inf"),
     ))
-    t1 = (t + t ** 6 + 2) / (t + t ** 6 - 2)
-    t2 = (t ** 2 + t ** 5 + 2) / (t ** 2 + t ** 5 - 2)
-    t3 = (t ** 3 + t ** 4 + 2) / (t ** 3 + t ** 4 - 2)
+    # h3 moves each t^i + t^-i to (t^i + t^-i + 2) / (t^i + t^-i - 2)
+    h3 = RationalMap(P([2, 1]), P([-2, 1]))
     steps.append(ChainStep(
-        name="h3", kind="auto", map=RationalMap(P([2, 1]), P([-2, 1])),
-        ram=[], out=[INF, K.zero, t1, t2, t3, K.one],
+        name="h3", kind="auto", map=h3,
+        ram=[], out=[h3.eval(p) for p in points(K, "2 -2 t+t^6 t^2+t^5 t^3+t^4 inf")],
     ))
     steps.append(ChainStep(
         name="h4", kind="map", map=RationalMap(P([1, 21, 35, 7]), P([1])),
-        ram=[(K.coerce(Fraction(-1, 3)), 2), (K.coerce(-3), 2), (INF, 3)],
-        out=[K.coerce(0), K.coerce(1), K.coerce(64), K.coerce(Fraction(-64, 27)), INF],
+        ram=ram_points(K, "-1/3:2 -3:2 inf:3"), out=points(K, "0 1 64 -64/27 inf"),
     ))
     steps.append(ChainStep(
         name="h5", kind="auto", map=RationalMap(P([-256, 256]), P([-64, 1])),
-        ram=[], out=[K.coerce(0), K.coerce(4), K.coerce(13), K.coerce(256), INF],
+        ram=[], out=points(K, "0 4 13 256 inf"),
     ))
     steps.append(ChainStep(
         name="h6", kind="belyi", support=tuple(h6_support), exponents=tuple(h6_exponents),
-        out=[K.zero, K.one, INF],
+        out=points(K, "0 1 inf"),
     ))
     return ChainManifest(
         name=name, field=K, start=start, steps=steps, bound=bound, bound_primes=bound_primes,
