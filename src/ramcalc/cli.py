@@ -5,6 +5,10 @@ and failed, 2 = usage or parse error; a reader that closes stdout
 early ends the run with 1 and no traceback.  `--json` selects a
 machine-readable rendering; with `--deterministic` the output carries
 no environment-dependent content and is byte-stable across runs.
+
+Only `exact` is imported with this module: each handler imports the
+subcommand modules it uses when it runs, so building the parser and
+starting a run load nothing else of the package.
 """
 
 from __future__ import annotations
@@ -17,43 +21,7 @@ from functools import cache
 from math import comb
 
 from . import __version__
-from .belyi import (
-    BelyiTuple,
-    NotBelyiForm,
-    search_smooth_tuples,
-    vandermonde_exponents,
-    verify_belyi,
-)
-from .contract import (
-    AlgebraicPointSet,
-    ContractionRejected,
-    HeightCapExceeded,
-    StrategyExhausted,
-    contract_to_rational,
-    verify_contraction,
-)
-from .cover import rh_genus, standard_projection_profile, verify_certificate
 from .exact import BACKEND, MAX_LISTED_PRIME, Poly, excerpt, factor_over_primes, parse_int, prime_list
-from .manifest import (
-    CERT_HEADER,
-    CHAIN_HEADER,
-    ManifestError,
-    bundled_text,
-    parse_cert,
-    parse_chain,
-    parse_poly,
-    parse_support,
-)
-from .relation import (
-    DEFAULT_BOUND,
-    CurveNode,
-    EdgeRule,
-    NodePattern,
-    RuleStore,
-    UnverifiedProvenance,
-)
-from .rmap import ChainReport, verify_chain
-from .sunit import prop24_pairs, smooth_enum, thm26_family, unit_equation_solutions
 
 BELYI_HEADER = "ramcalc-belyi 1"
 
@@ -196,6 +164,10 @@ def _cert_report_lines(report) -> list:
 def _verify_text(text: str, param=None):
     """Report of the chain or certificate in text, told apart by its
     first non-blank line; param overrides a certificate's instances."""
+    from .cover import verify_certificate
+    from .manifest import CERT_HEADER, CHAIN_HEADER, ManifestError, parse_cert, parse_chain
+    from .rmap import verify_chain
+
     header = next((ln.strip() for ln in text.splitlines() if ln.strip()), "")
     if header == CHAIN_HEADER:
         return verify_chain(parse_chain(text))
@@ -207,6 +179,8 @@ def _verify_text(text: str, param=None):
 
 
 def cmd_verify(args) -> int:
+    from .rmap import ChainReport
+
     report = _verify_text(_read_text(args.path), args.param)
     if isinstance(report, ChainReport):
         _emit(_chain_report_payload(report), _chain_report_lines(report), args.json)
@@ -219,7 +193,9 @@ def cmd_verify(args) -> int:
 # belyi
 
 
-def _belyi_payload(t: BelyiTuple, primes) -> dict:
+def _belyi_payload(t, primes) -> dict:
+    from .belyi import NotBelyiForm, verify_belyi
+
     payload = {
         "support": [str(x) for x in t.support],
         "exponents": list(t.exponents),
@@ -261,6 +237,9 @@ def _belyi_lines(payload: dict) -> list:
 
 
 def cmd_belyi_exponents(args) -> int:
+    from .belyi import BelyiTuple, vandermonde_exponents
+    from .manifest import parse_support
+
     support = parse_support(args.support)
     exps = vandermonde_exponents(support)
     t = BelyiTuple(support, exps)
@@ -271,6 +250,9 @@ def cmd_belyi_exponents(args) -> int:
 
 
 def _parse_belyi_file(text: str):
+    from .belyi import BelyiTuple
+    from .manifest import ManifestError, parse_support
+
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != BELYI_HEADER:
         raise ManifestError("missing or wrong belyi-tuple header")
@@ -319,6 +301,8 @@ def _parse_box(text: str, k: int) -> int:
 
 
 def cmd_belyi_search(args) -> int:
+    from .belyi import search_smooth_tuples
+
     primes = _parse_primes(args.primes)
     box = _parse_box(args.box, args.k)
     found = search_smooth_tuples(args.k, primes, box)
@@ -348,6 +332,8 @@ def cmd_belyi_search(args) -> int:
 
 
 def _parse_poly_expr(s: str) -> Poly:
+    from .manifest import ManifestError, parse_poly
+
     try:
         p = parse_poly(s)
     except ManifestError as exc:
@@ -358,6 +344,15 @@ def _parse_poly_expr(s: str) -> Poly:
 
 
 def cmd_contract(args) -> int:
+    from .contract import (
+        AlgebraicPointSet,
+        ContractionRejected,
+        HeightCapExceeded,
+        StrategyExhausted,
+        contract_to_rational,
+        verify_contraction,
+    )
+
     polys = [_parse_poly_expr(s) for s in args.polys]
     S = AlgebraicPointSet.from_polys(polys)
     try:
@@ -404,12 +399,24 @@ def cmd_contract(args) -> int:
 # relation
 
 
-def _load_store(args) -> RuleStore:
+def _load_store(args):
+    from .manifest import bundled_text
+    from .relation import RuleStore
+
     text = _read_text(args.store) if args.store else bundled_text("rules.store")
     return RuleStore.load(text)
 
 
-def _parse_curve_node(s: str) -> CurveNode:
+def _bound(args) -> int:
+    """--bound, or the store's default search depth when it is not given."""
+    from .relation import DEFAULT_BOUND
+
+    return DEFAULT_BOUND if args.bound is None else args.bound
+
+
+def _parse_curve_node(s: str):
+    from .relation import CurveNode, NodePattern
+
     s = s.strip()
     p = NodePattern.parse(s)
     if p.form == "const":
@@ -444,11 +451,12 @@ def cmd_relation_query(args) -> int:
     store = _load_store(args)
     src = _parse_curve_node(args.source)
     tgt = _parse_curve_node(args.target)
-    trace = store.reachable(src, tgt, bound=args.bound)
+    bound = _bound(args)
+    trace = store.reachable(src, tgt, bound=bound)
     if trace is None:
         _emit(
-            {"reachable": False, "bound": args.bound},
-            [f"unreachable within {args.bound} steps"],
+            {"reachable": False, "bound": bound},
+            [f"unreachable within {bound} steps"],
             args.json,
         )
         return EXIT_FAIL
@@ -478,7 +486,7 @@ def cmd_relation_query(args) -> int:
 def cmd_relation_classes(args) -> int:
     store = _load_store(args)
     nodes = [_parse_curve_node(s) for s in args.nodes]
-    classes = store.equivalence_classes(nodes, bound=args.bound)
+    classes = store.equivalence_classes(nodes, bound=_bound(args))
     rendered = sorted(sorted(str(n) for n in cls) for cls in classes)
     search = store.last_search
     _emit(
@@ -494,6 +502,8 @@ def cmd_relation_classes(args) -> int:
 
 
 def _bundled_artifact_checker(name: str) -> bool:
+    from .manifest import ManifestError, bundled_text
+
     try:
         text = bundled_text(name)
     except (FileNotFoundError, ModuleNotFoundError):
@@ -507,6 +517,8 @@ def _bundled_artifact_checker(name: str) -> bool:
 def cmd_relation_add(args) -> int:
     if not args.store:
         raise UsageError("relation add requires --store (the bundled store is read-only)")
+    from .relation import EdgeRule, NodePattern, RuleStore, UnverifiedProvenance
+
     store = RuleStore.load(_read_text(args.store))
     rule = EdgeRule(
         rule_id=args.id,
@@ -516,7 +528,11 @@ def cmd_relation_add(args) -> int:
         kind=args.kind,
         provenance=args.provenance,
     )
-    store.add_rule(rule, _bundled_artifact_checker)
+    try:
+        store.add_rule(rule, _bundled_artifact_checker)
+    except UnverifiedProvenance as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     with open(args.store, "w") as f:
         f.write(store.dump())
     _emit(
@@ -532,6 +548,8 @@ def cmd_relation_add(args) -> int:
 
 
 def cmd_sunit(args) -> int:
+    from .sunit import prop24_pairs, smooth_enum, thm26_family, unit_equation_solutions
+
     primes = _parse_primes(args.primes)
     if args.mode == "smooth":
         vals = smooth_enum(primes, args.height).values
@@ -563,6 +581,8 @@ def cmd_sunit(args) -> int:
 
 
 def cmd_genus(args) -> int:
+    from .cover import rh_genus, standard_projection_profile
+
     if args.n < 3:
         raise UsageError("curve index must be >= 3")
     if args.n > MAX_GENUS_INDEX:
@@ -634,7 +654,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def rel_common(r):
         r.add_argument("--store", help="store file (default: bundled rule set)")
-        r.add_argument("--bound", type=int, default=DEFAULT_BOUND)
+        # None reads as the store's default depth (`_bound`)
+        r.add_argument("--bound", type=int, default=None)
         common(r)
 
     r = rsub.add_parser("query", help="shortest derivation between two nodes")
@@ -697,9 +718,6 @@ def main(argv=None) -> int:
         # the reader closed stdout early; what is still buffered goes to
         # devnull, so the interpreter's final flush does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_FAIL
-    except UnverifiedProvenance as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

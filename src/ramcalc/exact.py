@@ -570,7 +570,9 @@ def excerpt(text: str) -> str:
 # denominator: Python's own default int_max_str_digits
 MAX_DIGITS = 4300
 
-_DIGIT_RUN = re.compile(r"\d+")
+# int() and Fraction() read 1_000 as 1000, so an underscore does not end
+# a run: a run counts its underscores too, which only errs on the safe side
+_DIGIT_RUN = re.compile(r"[\d_]+")
 
 
 def check_digits(text: str) -> str:

@@ -241,10 +241,15 @@ _STEP_KEYS = ("support", "exponents", "num", "den", "ram", "out")
 
 def parse_support(text: str) -> tuple:
     """A belyi support: at most MAX_BELYI_SUPPORT_SIZE rationals under
-    the `check_digits` bound, separated by commas or spaces."""
+    the `check_digits` bound, separated by commas or spaces.  An entry in
+    exponent form is refused: Fraction() reads 1e100000 as a number of
+    100 001 digits, which the digit bound does not see."""
     entries = [check_digits(q) for q in text.replace(",", " ").split()]
     if len(entries) > MAX_BELYI_SUPPORT_SIZE:
         raise ManifestError(f"support of size {len(entries)} is above {MAX_BELYI_SUPPORT_SIZE}")
+    for q in entries:
+        if "e" in q or "E" in q:
+            raise ManifestError(f"support entry {excerpt(q)!r} is in exponent form")
     try:
         return tuple(Fraction(q) for q in entries)
     except (ValueError, ZeroDivisionError):

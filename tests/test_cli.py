@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, report rendering, byte stability."""
 
+import ast
 import dataclasses
 import hashlib
 import json
@@ -634,6 +635,40 @@ class TestErrorLines:
         assert (code, out) == (2, "")
         assert err == f"error: number {excerpt(self.CAP + '9')!r} has more than 4300 digits\n"
 
+    # Fraction() reads 1e100000 as a number of 100 001 digits, and int()
+    # and Fraction() read 9_9_..._9 as one number, whose underscores cut
+    # its digits into runs of one
+    @pytest.mark.parametrize("entry, message", [
+        ("1e100000", "support entry '1e100000' is in exponent form"),
+        ("-3/2E99999", "support entry '-3/2E99999' is in exponent form"),
+        ("2.5e-99999", "support entry '2.5e-99999' is in exponent form"),
+        ("1" * 4300 + "e1", f"support entry {excerpt('1' * 4300 + 'e1')!r} is in exponent form"),
+        ("9" + "_9" * 2150, f"number {excerpt('9' + '_9' * 2150)!r} has more than 4300 digits"),
+    ], ids=["exponent", "fraction-exponent", "decimal-exponent", "long-exponent", "underscores"])
+    @pytest.mark.parametrize("where", ["belyi-exponents", "belyi-verify", "chain-step"])
+    def test_support_entry_outside_the_digit_budget_refused_at_once(self, capsys, tmp_path,
+                                                                    entry, message, where):
+        p = tmp_path / "support.manifest"
+        if where == "belyi-exponents":
+            argv = ["belyi", "exponents", f"0,1,{entry}"]
+        elif where == "belyi-verify":
+            p.write_text(f"ramcalc-belyi 1\nsupport 0 1 {entry}\nexponents 1 1 -2\n")
+            argv = ["belyi", "verify", str(p)]
+        else:
+            p.write_text(self.CHAIN + f"step b belyi\nsupport 0 1 {entry}\nexponents 1 1 -2\n")
+            argv = ["verify", str(p)]
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        elapsed = time.perf_counter() - t0
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n" and len(err.encode()) < 200
+        assert elapsed < 0.1
+
+    def test_underscores_within_the_digit_budget_read(self, capsys):
+        code, out, _ = run(capsys, "belyi", "exponents", "0,1,1_000")
+        assert code == 0
+        assert out.splitlines()[0] == "support: 0 1 1000"
+
 
 class TestParser:
     def test_built_once_per_process(self, capsys):
@@ -641,6 +676,61 @@ class TestParser:
         assert run(capsys, "genus", "5")[:2] == (0, "2\n")
         assert run(capsys, "genus", "2")[0] == 2
         assert run(capsys, "genus", "7", "--json")[:2] == (0, '{"genus":3,"n":7}\n')
+
+
+def module_level_imports(tree):
+    """The import statements of a module outside its functions and
+    classes: the ones that run when it is imported."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def package_names(node):
+    """The ramcalc modules and package attributes an import statement in
+    a module of the package binds, as dotted names."""
+    if isinstance(node, ast.Import):
+        return {a.name for a in node.names if a.name.split(".")[0] == "ramcalc"}
+    if node.level:
+        module = "ramcalc" + (f".{node.module}" if node.module else "")
+    else:
+        module = node.module or ""
+    if module.split(".")[0] != "ramcalc":
+        return set()
+    if module == "ramcalc":
+        return {f"ramcalc.{a.name}" for a in node.names}
+    return {module}
+
+
+class TestStartUp:
+    """`ramcalc` starts on `exact` alone; a handler imports the modules
+    of its subcommand when it runs."""
+
+    BASE = ["ramcalc", "ramcalc.cli", "ramcalc.exact"]
+    REPORT = ('print(sorted(m for m in sys.modules if m.split(".")[0] == "ramcalc"), '
+              '"dataclasses" in sys.modules, "hashlib" in sys.modules)')
+
+    def test_cli_imports_only_exact_at_module_level(self):
+        tree = ast.parse(Path(cli.__file__).read_text())
+        names = set().union(*(package_names(node) for node in module_level_imports(tree)))
+        assert names == {"ramcalc.__version__", "ramcalc.exact"}
+
+    def test_building_the_parser_loads_only_exact(self):
+        got = fresh_interpreter("cli.build_parser()\n" + self.REPORT)
+        assert got == f"{self.BASE} False False"
+
+    @pytest.mark.parametrize("argv, module", [
+        (["genus", "7"], "ramcalc.cover"),
+        (["sunit", "smooth", "--primes", "2,3", "--height", "100"], "ramcalc.sunit"),
+    ])
+    def test_subcommand_adds_only_its_module(self, argv, module):
+        got = fresh_interpreter(f"assert cli.main({argv!r}) == 0\n" + self.REPORT)
+        assert got.startswith(f"{sorted(self.BASE + [module])} ")
 
 
 class TestVersion:
@@ -723,14 +813,14 @@ class TestBelyi:
 
         def refuse(*args):
             raise AssertionError("the enumeration started")
-        monkeypatch.setattr(cli, "search_smooth_tuples", refuse)
+        monkeypatch.setattr(belyi, "search_smooth_tuples", refuse)
         code, out, err = run(capsys, "belyi", "search", "--k", k, "--primes", "2,3", "--box", box)
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
 
     def test_search_at_the_cap_runs(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "search_smooth_tuples", lambda k, primes, box: [])
+        monkeypatch.setattr(belyi, "search_smooth_tuples", lambda k, primes, box: [])
         box = self.largest_box_under_cap(5)
         code, out, _ = run(capsys, "belyi", "search", "--k", "5", "--primes", "2", "--box", str(box))
         assert code == 0
@@ -776,8 +866,8 @@ class TestBelyi:
                                                               tmp_path, sub):
         def refuse(*args):
             raise AssertionError("the exponent or numerator work started")
-        monkeypatch.setattr(cli, "vandermonde_exponents", refuse)
-        monkeypatch.setattr(cli, "verify_belyi", refuse)
+        monkeypatch.setattr(belyi, "vandermonde_exponents", refuse)
+        monkeypatch.setattr(belyi, "verify_belyi", refuse)
         k = belyi.MAX_BELYI_SUPPORT_SIZE + 1
         support = " ".join(str(i * i) for i in range(k))
         p = tmp_path / "tuple.belyi"
@@ -933,11 +1023,13 @@ class TestContract:
 
     def test_rejected_recheck_exits_one(self, capsys, monkeypatch):
         # a contraction that lost a final point is refused before any report
+        contract_to_rational = contract.contract_to_rational
+
         def dropped(S, height_cap=None):
-            result = contract.contract_to_rational(S, height_cap)
+            result = contract_to_rational(S, height_cap)
             return dataclasses.replace(result, final_set=contract.AlgebraicPointSet(
                 result.final_set.polys[1:]))
-        monkeypatch.setattr(cli, "contract_to_rational", dropped)
+        monkeypatch.setattr(contract, "contract_to_rational", dropped)
         code, out, _ = run(capsys, "contract", "z^3-2", "--json")
         assert code == 1
         payload = json.loads(out)
@@ -947,8 +1039,9 @@ class TestContract:
     def test_height_cap_holds_on_the_recheck(self, capsys, monkeypatch):
         # z^5-3 builds images of up to 1970 bits; with the contraction
         # left uncapped, the recheck before exit 0 still holds to the cap
-        monkeypatch.setattr(cli, "contract_to_rational",
-                            lambda S, height_cap=None: contract.contract_to_rational(S))
+        contract_to_rational = contract.contract_to_rational
+        monkeypatch.setattr(contract, "contract_to_rational",
+                            lambda S, height_cap=None: contract_to_rational(S))
         code, out, _ = run(capsys, "contract", "z^5-3", "--height-cap", "1000", "--json")
         assert code == 1
         payload = json.loads(out)
