@@ -89,7 +89,7 @@ def _parse_param_instances(param: str) -> tuple:
     if name.strip() != "n":
         raise UsageError("the only supported parameter is n")
     try:
-        return tuple(int(v) for v in values.split(","))
+        return tuple(parse_int(v) for v in values.split(","))
     except ValueError:
         raise UsageError(f"bad parameter instances {excerpt(values)!r}")
 
@@ -303,11 +303,12 @@ def _parse_box(text: str, k: int) -> int:
 def cmd_belyi_search(args) -> int:
     from .belyi import search_smooth_tuples
 
+    k = parse_int(args.k)
     primes = _parse_primes(args.primes)
-    box = _parse_box(args.box, args.k)
-    found = search_smooth_tuples(args.k, primes, box)
+    box = _parse_box(args.box, k)
+    found = search_smooth_tuples(k, primes, box)
     payload = {
-        "k": args.k,
+        "k": k,
         "primes": list(primes),
         "box": box,
         "tuples": [
@@ -353,11 +354,12 @@ def cmd_contract(args) -> int:
         verify_contraction,
     )
 
+    cap = None if args.height_cap is None else parse_int(args.height_cap)
     polys = [_parse_poly_expr(s) for s in args.polys]
     S = AlgebraicPointSet.from_polys(polys)
     try:
-        result = contract_to_rational(S, height_cap=args.height_cap)
-        verify_contraction(S, result, height_cap=args.height_cap)
+        result = contract_to_rational(S, height_cap=cap)
+        verify_contraction(S, result, height_cap=cap)
     except (StrategyExhausted, HeightCapExceeded, ContractionRejected) as exc:
         _emit({"passed": False, "error": str(exc)}, [str(exc)], args.json)
         return EXIT_FAIL
@@ -411,7 +413,7 @@ def _bound(args) -> int:
     """--bound, or the store's default search depth when it is not given."""
     from .relation import DEFAULT_BOUND
 
-    return DEFAULT_BOUND if args.bound is None else args.bound
+    return DEFAULT_BOUND if args.bound is None else parse_int(args.bound)
 
 
 def _parse_curve_node(s: str):
@@ -551,20 +553,21 @@ def cmd_sunit(args) -> int:
     from .sunit import prop24_pairs, smooth_enum, thm26_family, unit_equation_solutions
 
     primes = _parse_primes(args.primes)
+    height = parse_int(args.height)
     if args.mode == "smooth":
-        vals = smooth_enum(primes, args.height).values
+        vals = smooth_enum(primes, height).values
         payload = {"values": list(vals), "count": len(vals)}
         lines = [" ".join(str(v) for v in vals), f"count: {len(vals)}"]
     elif args.mode == "unit":
-        sols = unit_equation_solutions(primes, args.height)
+        sols = unit_equation_solutions(primes, height)
         payload = {"solutions": [list(s) for s in sols], "count": len(sols)}
         lines = [f"{a} + {b} = {c}" for a, b, c in sols] + [f"count: {len(sols)}"]
     elif args.mode == "prop24":
-        pairs = prop24_pairs(primes, args.height)
+        pairs = prop24_pairs(primes, height)
         payload = {"pairs": [list(p) for p in pairs], "count": len(pairs)}
         lines = [f"({a}, {b})" for a, b in pairs] + [f"count: {len(pairs)}"]
     else:  # family
-        tuples = thm26_family(primes, args.height)
+        tuples = thm26_family(primes, height)
         payload = {
             "tuples": [
                 {"entries": list(t.entries), "r1": t.r1, "r3": t.r3, "exceptional": t.exceptional}
@@ -583,12 +586,13 @@ def cmd_sunit(args) -> int:
 def cmd_genus(args) -> int:
     from .cover import rh_genus, standard_projection_profile
 
-    if args.n < 3:
+    n = parse_int(args.n)
+    if n < 3:
         raise UsageError("curve index must be >= 3")
-    if args.n > MAX_GENUS_INDEX:
+    if n > MAX_GENUS_INDEX:
         raise UsageError(f"curve index must be <= {MAX_GENUS_INDEX}")
-    g = rh_genus(standard_projection_profile(args.n))
-    _emit({"n": args.n, "genus": g}, [str(g)], args.json)
+    g = rh_genus(standard_projection_profile(n))
+    _emit({"n": n, "genus": g}, [str(g)], args.json)
     return EXIT_PASS
 
 
@@ -637,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(b)
     b.set_defaults(func=cmd_belyi_verify)
     b = bsub.add_parser("search", help="enumerate smooth-exponent supports in a box")
-    b.add_argument("--k", type=int, default=4, help="support size")
+    b.add_argument("--k", default="4", help="support size")
     b.add_argument("--primes", required=True)
     b.add_argument("--box", required=True, help="largest support entry; supports lie in [0, box]")
     common(b)
@@ -645,7 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("contract", help="contract an algebraic point set to rational points")
     p.add_argument("polys", nargs="+", help="polynomials in z whose roots are the points, e.g. 'z^3-2'")
-    p.add_argument("--height-cap", type=int, default=None)
+    p.add_argument("--height-cap", default=None)
     common(p)
     p.set_defaults(func=cmd_contract)
 
@@ -655,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
     def rel_common(r):
         r.add_argument("--store", help="store file (default: bundled rule set)")
         # None reads as the store's default depth (`_bound`)
-        r.add_argument("--bound", type=int, default=None)
+        r.add_argument("--bound", default=None)
         common(r)
 
     r = rsub.add_parser("query", help="shortest derivation between two nodes")
@@ -686,12 +690,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sunit", help="smooth-number and unit-equation enumeration")
     p.add_argument("mode", choices=("smooth", "unit", "prop24", "family"))
     p.add_argument("--primes", required=True)
-    p.add_argument("--height", type=int, required=True)
+    p.add_argument("--height", required=True)
     common(p)
     p.set_defaults(func=cmd_sunit)
 
     p = sub.add_parser("genus", help="genus of the standard double-cover profile")
-    p.add_argument("n", type=int)
+    p.add_argument("n")
     common(p)
     p.set_defaults(func=cmd_genus)
 

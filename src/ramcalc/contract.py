@@ -19,10 +19,11 @@ recorded maps alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 from typing import Iterable, Optional
 
 from .exact import (
+    RAT,
     Poly,
     QQ,
     _image_poly,
@@ -64,13 +65,10 @@ class AlgebraicPointSet:
     polys: list
 
     def __post_init__(self):
-        seen = set()
-        for p in self.polys:
-            if p.is_zero() or p.lc != 1:
-                raise ValueError("entries must be monic polynomials")
-            if p.coeffs in seen:
-                raise ValueError("duplicate entry")
-            seen.add(p.coeffs)
+        if any(p.is_zero() or p.lc != 1 for p in self.polys):
+            raise ValueError("entries must be monic polynomials")
+        if len(set(self.polys)) != len(self.polys):
+            raise ValueError("duplicate entry")
 
     @staticmethod
     def from_polys(polys: Iterable[Poly]) -> "AlgebraicPointSet":
@@ -82,10 +80,7 @@ class AlgebraicPointSet:
     def from_squarefree(polys: Iterable[Poly]) -> "AlgebraicPointSet":
         """The set with the given monic squarefree entries, taken as they
         are: repeats dropped, sorted by (degree, coefficients)."""
-        out = {}
-        for q in polys:
-            out.setdefault(q.coeffs, q)
-        return AlgebraicPointSet(sorted(out.values(), key=lambda q: (q.degree, q.coeffs)))
+        return AlgebraicPointSet(sorted(dict.fromkeys(polys), key=lambda q: (q.degree, q.coeffs)))
 
     def max_degree(self) -> int:
         return max((p.degree for p in self.polys), default=0)
@@ -132,7 +127,7 @@ def build_cofactor(f: Poly, targets: list) -> Poly:
         fx, fpx = f(x), fp(x)
         row = []
         for j in range(r):
-            dmono = j * x ** (j - 1) if j else Fraction(0)
+            dmono = j * x ** (j - 1) if j else RAT(0)
             row.append(fpx * x ** j + fx * dmono)
         lead = fpx * x ** r + fx * r * x ** (r - 1)
         matrix.append(row)
@@ -170,11 +165,11 @@ class ContractionResult:
 
 def default_targets():
     """Deterministic small-height spiral 0, 1, -1, 2, -2, ..."""
-    yield Fraction(0)
+    yield RAT(0)
     k = 1
     while True:
-        yield Fraction(k)
-        yield Fraction(-k)
+        yield RAT(k)
+        yield RAT(-k)
         k += 1
 
 
@@ -196,13 +191,22 @@ def _check_step(F: Poly, targets: list) -> None:
 
 
 def _capped_bits(p: Poly, height_cap: Optional[int]) -> int:
-    """Largest numerator/denominator bit size in p, checked against the cap."""
+    """Largest numerator/denominator bit size of a coefficient of p in
+    lowest terms, checked against the cap."""
     bits = 0
-    for c in p.coeffs:
-        bits = max(bits, c.numerator.bit_length(), c.denominator.bit_length())
+    for c in p.ints:
+        g = gcd(c, p.den)
+        bits = max(bits, (c // g).bit_length(), (p.den // g).bit_length())
     if height_cap is not None and bits > height_cap:
         raise HeightCapExceeded(f"coefficient size {bits} bits exceeds cap {height_cap}")
     return bits
+
+
+def _capped_image(F: Poly, s: Poly, height_cap: Optional[int]) -> Poly:
+    """`_image_poly`, held to the height cap as soon as it is built."""
+    image = _image_poly(F, s)
+    _capped_bits(image, height_cap)
+    return image
 
 
 def _admissible_step(f: Poly, k: int, targets: list, height_cap: Optional[int]):
@@ -271,15 +275,9 @@ def reduction_step(S: AlgebraicPointSet, height_cap: Optional[int] = None):
             raise StrategyExhausted(f"no admissible target tuple found in {attempts} attempts")
 
     F = step.product
-
-    def image(p):
-        q = _image_poly(F, p)
-        _capped_bits(q, height_cap)
-        return q
-
     # rational points stay rational under every later map; carry them
     # along untouched instead of pushing them forward
-    new_polys = [p if p.degree == 1 else image(p) for p in S.polys]
+    new_polys = [p if p.degree == 1 else _capped_image(F, p, height_cap) for p in S.polys]
     # critical values of F: the images of the targets and of the
     # remaining critical cofactor; the critical points themselves lie on
     # the source line of F and are not carried
@@ -287,7 +285,7 @@ def reduction_step(S: AlgebraicPointSet, height_cap: Optional[int] = None):
     for x in step.targets:
         crit = crit // Poly(QQ, [-x, 1])
         new_polys.append(Poly(QQ, [-F(x), 1]))
-    new_polys.append(image(crit))
+    new_polys.append(_capped_image(F, crit, height_cap))
     new_set = AlgebraicPointSet.from_squarefree(new_polys)
 
     old_measure, new_measure = S.measure(), new_set.measure()
@@ -347,14 +345,9 @@ def verify_contraction(
         raise ContractionRejected("certificate and steps differ in length")
     if any(p.degree != 1 for p in result.final_set.polys):
         raise ContractionRejected("final set is not rational")
-    final = {p.coeffs for p in result.final_set.polys}
+    final = set(result.final_set.polys)
     maps = []
     tracked = [(0, p) for p in S.polys]  # (maps applied, squarefree polynomial)
-
-    def push(F: Poly, P: Poly) -> Poly:
-        P = _image_poly(F, P)
-        _capped_bits(P, height_cap)
-        return P
 
     for i, (step, entry) in enumerate(zip(steps, result.index_certificate), 1):
         F = step.product
@@ -372,7 +365,7 @@ def verify_contraction(
             if rem:
                 raise ContractionRejected(f"step {i}: F' does not vanish at the target {x}")
             tracked.append((i, Poly(QQ, [-F(x), 1])))
-        tracked.append((i, push(F, crit)))
+        tracked.append((i, _capped_image(F, crit, height_cap)))
         maps.append(F)
 
     reached = set()
@@ -381,14 +374,14 @@ def verify_contraction(
         while P.degree > 1:
             if stage == len(maps):
                 raise ContractionRejected(f"points of degree {P.degree} are left after the last map")
-            P = push(maps[stage], P)
+            P = _capped_image(maps[stage], P, height_cap)
             stage += 1
         P = P.monic()
-        if P.coeffs not in final:
+        if P not in final:
             raise ContractionRejected(
                 f"the rational point {-P.coeffs[0]} after map {stage} is not a final point"
             )
-        reached.add(P.coeffs)
-    missed = sorted(final - reached)
+        reached.add(P)
+    missed = sorted(p.coeffs for p in final - reached)
     if missed:
         raise ContractionRejected(f"the final point {-missed[0][0]} is reached by no tracked point")

@@ -2,12 +2,13 @@
 Q, and the cyclotomic fields Q(zeta_n).
 
 Everything here is immutable and exact; no floating point anywhere.
-Polynomials store coefficients constant-term first with no trailing
-zeros, so the zero polynomial has an empty coefficient tuple.  Their
-coefficients are always rational.  A point a polynomial is evaluated at
-has one form: a rational when its value is rational, else an element of
-a number field held as an integer vector over one positive denominator
-in lowest terms, the pair the integer kernels compute in.
+A polynomial over Q and an irrational element of a number field are
+stored alike: an integer vector over one positive denominator in lowest
+terms, the pair the integer kernels compute in.  A polynomial's vector
+is constant term first with no trailing zeros, so the zero polynomial
+has an empty one.  A point a polynomial is evaluated at is a rational
+when its value is rational, else such an element.  Rationals appear
+only at the boundaries: parsed input, printed output, and a point.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import numbers
 import re
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterable
 
 try:  # GMP-backed rationals: identical semantics, far faster gcd
@@ -35,17 +36,11 @@ class RationalField:
     degree = 1
 
     def coerce(self, v):
-        if isinstance(v, (int, numbers.Rational)) or type(v) is RAT:
+        if type(v) is RAT:
+            return v
+        if isinstance(v, (int, numbers.Rational)):
             return RAT(v)
         raise TypeError(f"cannot coerce {v!r} into Q")
-
-    @property
-    def zero(self):
-        return RAT(0)
-
-    @property
-    def one(self):
-        return RAT(1)
 
 
 QQ = RationalField()
@@ -53,12 +48,18 @@ QQ = RationalField()
 
 def _int_vector(cs):
     """(integer numerators, common denominator) of a sequence of rationals."""
-    den = 1
-    for c in cs:
-        d = c.denominator
-        if d != 1:
-            den = den * d // _int_gcd(den, d)
+    den = lcm(*(c.denominator for c in cs))
     return [int(c.numerator * (den // c.denominator)) for c in cs], den
+
+
+def _lowest_terms(ints, den: int):
+    """(ints, den) divided by g = gcd(den, *ints), signed like den: an
+    integer vector over a nonzero denominator, as a tuple over a
+    positive denominator in lowest terms."""
+    g = int(_int_gcd(den, *ints)) * (1 if den > 0 else -1)
+    if g == 1:
+        return tuple(ints), den
+    return tuple(c // g for c in ints), den // g
 
 
 def _int_horner(ints, na: int, da: int) -> int:
@@ -118,7 +119,7 @@ def _evaluator(x):
     a vector mod the minimal polynomial for an element.  mul is the
     product of two such values."""
     if isinstance(x, NumberFieldElement):
-        an, ad, mp = x.num, x.den, x.field._minpoly_ints
+        an, ad, mp = x.num, x.den, x.field.minpoly.ints
         return (lambda ints: _nf_horner(ints, an, ad, mp)), (lambda a, b: _mulmod_zz(a, b, mp)), ad
     na, da = int(x.numerator), int(x.denominator)
     return (lambda ints: [_int_horner(ints, na, da)]), (lambda a, b: [a[0] * b[0]]), da
@@ -139,23 +140,33 @@ def _order_ints(ints, ev) -> int:
 
 
 class Poly:
-    """Univariate polynomial over QQ.
-
-    Coefficients are stored constant term first.  All arithmetic keeps
-    canonical form (no trailing zero coefficients).  A polynomial is
-    evaluated at rationals and at elements of a number field alike.
+    """Univariate polynomial over QQ, stored as the integer vector `ints`
+    over the positive denominator `den`: the coefficient of z^i is
+    ints[i] / den, constant term first.  `ints` has no trailing zeros,
+    so the zero polynomial has none, and gcd(den, *ints) = 1.  All
+    arithmetic runs in integers and puts each result in lowest terms
+    once.  A polynomial is evaluated at rationals and at elements of a
+    number field alike.
     """
 
-    __slots__ = ("coeffs", "_intform")
+    __slots__ = ("ints", "den")
 
-    def __init__(self, field, coeffs: Iterable):
+    def __new__(cls, field, coeffs: Iterable):
         if not isinstance(field, RationalField):
             raise TypeError(f"polynomials are over QQ, not {field!r}")
-        cs = [QQ.coerce(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "_intform", None)
+        return Poly._of(*_int_vector([c if type(c) is int else QQ.coerce(c) for c in coeffs]))
+
+    @staticmethod
+    def _of(ints: list, den: int) -> "Poly":
+        """The polynomial sum_i ints[i] z^i / den, for an integer list and
+        a nonzero integer den."""
+        while ints and not ints[-1]:
+            ints.pop()
+        p = object.__new__(Poly)
+        ints, den = _lowest_terms(ints, den) if ints else ((), 1)
+        object.__setattr__(p, "ints", ints)
+        object.__setattr__(p, "den", den)
+        return p
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -163,49 +174,56 @@ class Poly:
     # -- basic structure ----------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The rational coefficients, constant term first: a view for
+        printing and ordering."""
+        return tuple(RAT(c, self.den) for c in self.ints)
+
+    @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     @property
     def lc(self):
-        if not self.coeffs:
+        if not self.ints:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return RAT(self.ints[-1], self.den)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.ints)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.ints == other.ints and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.ints, self.den))
 
     # -- arithmetic ----------------------------------------------------
 
-    @staticmethod
-    def _wrap(coeffs):
-        return Poly(QQ, coeffs)
-
     def __add__(self, other):
         other = self._coerce_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = QQ.zero
-        a = list(self.coeffs) + [z] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [z] * (n - len(other.coeffs))
-        return self._wrap([x + y for x, y in zip(a, b)])
+        (a, da), (b, db) = (self.ints, self.den), (other.ints, other.den)
+        g = _int_gcd(da, db)
+        sa, sb = db // g, da // g
+        den = da * sa
+        if len(a) < len(b):
+            a, b, sa, sb = b, a, sb, sa
+        out = [c * sa for c in a]
+        for i, c in enumerate(b):
+            out[i] += c * sb
+        return Poly._of(out, den)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return self._wrap([-c for c in self.coeffs])
+        return Poly._of([-c for c in self.ints], self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce_poly(other))
@@ -215,16 +233,15 @@ class Poly:
 
     def __mul__(self, other):
         other = self._coerce_poly(other)
-        if self.is_zero() or other.is_zero():
-            return self._wrap([])
-        z = QQ.zero
-        out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return self._wrap(out)
+        a, b = self.ints, other.ints
+        if not a or not b:
+            return Poly._of([], 1)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return Poly._of(out, self.den * other.den)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -232,7 +249,7 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = self._wrap([1])
+        result = Poly._of([1], 1)
         base = self
         while n:
             if n & 1:
@@ -242,26 +259,31 @@ class Poly:
         return result
 
     def __divmod__(self, other):
+        """Pseudo-division by the integer vector b of the divisor: with
+        lb = lc(b), lb^(dq+1) a = q b + r in integers, every step an
+        exact division by lb; both results are then put over the common
+        denominator and into lowest terms once."""
         other = self._coerce_poly(other)
-        if other.is_zero():
+        b = other.ints
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(self.coeffs) - len(other.coeffs)
+        nb = len(b)
+        dq = len(self.ints) - nb
         if dq < 0:
-            return self._wrap([]), self
-        quot = [QQ.zero] * (dq + 1)
-        # one inverse of the leading coefficient serves the whole loop;
-        # a monic divisor needs none
-        inv_lc = None if other.lc == 1 else 1 / other.lc
+            return Poly._of([], 1), self
+        lb = b[-1]
+        scale = lb ** (dq + 1)
+        rem = [scale * c for c in self.ints]
+        quot = [0] * (dq + 1)
         for i in range(dq, -1, -1):
-            top = rem[i + other.degree]
-            if not top:
-                continue
-            q = top if inv_lc is None else top * inv_lc
-            quot[i] = q
-            for j, b in enumerate(other.coeffs):
-                rem[i + j] = rem[i + j] - q * b
-        return self._wrap(quot), self._wrap(rem)
+            top = rem[i + nb - 1]
+            if top:
+                q = top // lb
+                quot[i] = q
+                for j in range(nb - 1):
+                    rem[i + j] -= q * b[j]
+        den = self.den * scale
+        return Poly._of([q * other.den for q in quot], den), Poly._of(rem[:nb - 1], den)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -276,56 +298,34 @@ class Poly:
 
     # -- calculus and evaluation --------------------------------------
 
-    def int_form(self):
-        """Cached (integer coefficients, common denominator)."""
-        if self._intform is None:
-            ints, denom = _int_vector(self.coeffs)
-            object.__setattr__(self, "_intform", (tuple(ints), int(denom)))
-        return self._intform
-
     def __call__(self, x):
         """p(x) at a rational x, or at an irrational element x of a
         number field, as a point: a rational when the value is one."""
         # integer Horner with one reduction at the end: far cheaper
         # than per-step gcd normalization once coefficients are huge
         ev, _, ad = _evaluator(x)
-        ints, denom = self.int_form()
-        den = denom * ad ** max(self.degree, 0)
+        den = self.den * ad ** max(self.degree, 0)
         if isinstance(x, NumberFieldElement):
-            return x.field.element(ev(ints), den)
-        return RAT(ev(ints)[0], den)
+            return x.field.element(ev(self.ints), den)
+        return RAT(ev(self.ints)[0], den)
 
     def evaluates_to_zero(self, x) -> bool:
         """Whether p(x) = 0, skipping the final normalization over Q."""
         ev, _, _ = _evaluator(x)
-        return not any(ev(self.int_form()[0]))
+        return not any(ev(self.ints))
 
     def derivative(self) -> "Poly":
-        return self._wrap([i * c for i, c in enumerate(self.coeffs)][1:])
+        return Poly._of(_derivative_ints(self.ints), self.den)
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        if self.is_zero() or self.ints[-1] == self.den:
             return self
-        lc = self.lc
-        if lc == 1:
-            return self
-        inv = 1 / lc
-        return self._wrap([c * inv for c in self.coeffs])
+        return Poly._of(list(self.ints), self.ints[-1])
 
     def __repr__(self):
-        if self.is_zero():
-            return "Poly(0)"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                terms.append(f"{c}")
-            elif i == 1:
-                terms.append(f"({c})*z")
-            else:
-                terms.append(f"({c})*z^{i}")
-        return "Poly(" + " + ".join(terms) + ")"
+        terms = [f"{c}" if i == 0 else f"({c})*z" if i == 1 else f"({c})*z^{i}"
+                 for i, c in enumerate(self.coeffs) if c]
+        return "Poly(" + (" + ".join(terms) or "0") + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -368,12 +368,8 @@ def _poly_gcd_degree_mod(a: list, b: list, q: int) -> int:
 
 def _primitive(p: list) -> list:
     """An integer coefficient list divided by its content."""
-    g = 0
-    for c in p:
-        g = _int_gcd(g, c)
-        if g == 1:
-            return p
-    return [c // g for c in p]
+    g = _int_gcd(*p)
+    return p if g == 1 else [c // g for c in p]
 
 
 def _prem(a: list, b: list) -> list:
@@ -423,17 +419,15 @@ def _gcd_zz(a: list, b: list) -> list:
 def _is_squarefree_qq(p: Poly) -> bool:
     """Certified squarefreeness over Q: gcd(p, p') = 1, by the modular
     certificate when one of the primes is good, else by the PRS."""
-    ints, _ = p.int_form()
-    return len(_gcd_zz(ints, _derivative_ints(ints))) == 1
+    return len(_gcd_zz(p.ints, _derivative_ints(p.ints))) == 1
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd; gcd(0, 0) = 0.  By the integer kernel `_gcd_zz`."""
     if a.is_zero() or b.is_zero():
         return b.monic() if a.is_zero() else a.monic()
-    g = _gcd_zz(a.int_form()[0], b.int_form()[0])
-    lc = g[-1]
-    return Poly(QQ, [RAT(c, lc) for c in g])
+    g = _gcd_zz(a.ints, b.ints)
+    return Poly._of(list(g), g[-1])
 
 
 def squarefree_part(a: Poly) -> Poly:
@@ -451,7 +445,7 @@ def resultant(a: Poly, b: Poly):
     by the Euclidean remainder recurrence over Q."""
     if a.is_zero() or b.is_zero():
         raise ValueError("resultant of a zero polynomial")
-    acc = QQ.one
+    acc = RAT(1)
     sign = 1
     while True:
         if b.degree == 0:
@@ -460,7 +454,7 @@ def resultant(a: Poly, b: Poly):
             return acc * sign * a.lc ** b.degree
         r = a % b
         if r.is_zero():
-            return QQ.zero
+            return RAT(0)
         if (a.degree * b.degree) % 2:
             sign = -sign
         acc = acc * b.lc ** (a.degree - r.degree)
@@ -476,7 +470,9 @@ def _image_poly(F: Poly, s: Poly) -> Poly:
     identities give the power sums Tr(z^i) of the roots from the
     coefficients of s; the traces p_j = Tr(F^j mod s) are linear in
     those; and Newton's identities, dividing by 1..k, turn p_1..p_k into
-    the coefficients.  This avoids resultants of huge polynomials.  For
+    the coefficients.  With s = S / d, S[k] = d, the traces are kept
+    as the integers d^i Tr(z^i), so each p_j is one integer sum over one
+    denominator.  This avoids resultants of huge polynomials.  For
     an irreducible s the characteristic polynomial is a power of the
     minimal polynomial of F(alpha), so the result is irreducible.
     """
@@ -484,21 +480,25 @@ def _image_poly(F: Poly, s: Poly) -> Poly:
     k = s.degree
     if k == 0:
         raise ValueError("image of an empty point set")
-    a = s.coeffs
+    S, d = s.ints, s.den
     # Tr(z^i) + a_{k-1} Tr(z^(i-1)) + ... + a_{k-i+1} Tr(z) + i a_{k-i} = 0
-    traces = [RAT(k)]
+    # for a_j = S[j] / d, times d^i: T_i = d^i Tr(z^i)
+    dpow = [d ** j for j in range(k)]
+    traces = [k]
     for i in range(1, k):
-        acc = a[k - i] * i
+        acc = i * S[k - i] * dpow[i - 1]
         for j in range(1, i):
-            acc = acc + a[k - j] * traces[i - j]
+            acc += S[k - j] * dpow[j - 1] * traces[i - j]
         traces.append(-acc)
+    # Tr(z^i) = traces[i] d^(k-1-i) / d^(k-1)
+    traces = [t * dpow[k - 1 - i] for i, t in enumerate(traces)]
     rbar = F % s
     power = Poly(QQ, [1])
     p = [None]
-    coeffs = [QQ.one]  # of y^k down to y^0
+    coeffs = [RAT(1)]  # of y^k down to y^0
     for m in range(1, k + 1):
         power = power * rbar % s
-        p.append(sum((c * t for c, t in zip(power.coeffs, traces)), QQ.zero))
+        p.append(RAT(sum(c * t for c, t in zip(power.ints, traces)), power.den * dpow[k - 1]))
         # p_m + c_1 p_(m-1) + ... + c_(m-1) p_1 + m c_m = 0
         acc = p[m]
         for j in range(1, m):
@@ -619,7 +619,6 @@ class NumberField:
 
     def _setup(self, minpoly: Poly):
         self.minpoly = minpoly
-        self._minpoly_ints = minpoly.int_form()[0]
         self.degree = minpoly.degree
         self.cyclotomic_index = None
 
@@ -638,17 +637,13 @@ class NumberField:
         of any length and a nonzero integer den, reduced mod p: a
         rational when its value is rational, else an element in lowest
         terms with den > 0."""
-        v = _mod_zz(ints, self._minpoly_ints)
+        v = _mod_zz(ints, self.minpoly.ints)
         if not any(v[1:]):
             return RAT(v[0], den)
-        g = den
-        for c in v:
-            g = _int_gcd(g, c)
-        g = int(g) if den > 0 else -int(g)
-        return NumberFieldElement(self, tuple(c // g for c in v), den // g)
+        return NumberFieldElement(self, *_lowest_terms(v, den))
 
     def __eq__(self, other):
-        return isinstance(other, NumberField) and self.minpoly.coeffs == other.minpoly.coeffs
+        return isinstance(other, NumberField) and self.minpoly == other.minpoly
 
     def __repr__(self):
         if self.cyclotomic_index:
@@ -677,7 +672,7 @@ class NumberFieldElement:
         integer convolution mod the minimal polynomial, one gcd."""
         fld = self.field
         if isinstance(other, NumberFieldElement):
-            return fld.element(_mulmod_zz(self.num, other.num, fld._minpoly_ints), self.den * other.den)
+            return fld.element(_mulmod_zz(self.num, other.num, fld.minpoly.ints), self.den * other.den)
         return fld.element([c * int(other.numerator) for c in self.num], self.den * int(other.denominator))
 
     __rmul__ = __mul__
@@ -685,7 +680,7 @@ class NumberFieldElement:
     def inverse(self):
         # 1/a = den b for the b with M(num) b = e_0, whose column c is
         # num t^c mod p; M is invertible, since a is not zero
-        mp = self.field._minpoly_ints
+        mp = self.field.minpoly.ints
         cols = [self.num]
         for _ in range(len(self.num) - 1):
             cols.append(_mod_zz([0, *cols[-1]], mp))
@@ -751,8 +746,7 @@ def is_irreducible(p: Poly) -> bool:
         raise ValueError("degree above the irreducibility checking bound")
     import sympy
 
-    coeffs = [sympy.Rational(int(c.numerator), int(c.denominator)) for c in reversed(p.coeffs)]
-    return sympy.Poly(coeffs, sympy.Symbol("x"), domain="QQ").is_irreducible
+    return sympy.Poly(p.ints[::-1], sympy.Symbol("x"), domain="QQ").is_irreducible
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from typing import Optional
 
 from .belyi import MAX_BELYI_SUPPORT_SIZE
-from .exact import NumberField, Poly, QQ, RationalField, check_digits, excerpt, parse_int, prime_list
+from .exact import RAT, NumberField, Poly, QQ, RationalField, check_digits, excerpt, parse_int, prime_list
 from .rmap import INF, RationalMap
 from .cover import Arrow, DiagramCertificate, Fiber, ParamIndex
 
@@ -138,7 +137,7 @@ class _ExprParser:
             raise ManifestError("unexpected end of expression")
         if tok[0].isdigit() or tok[0] == ".":
             check_digits(tok)
-            return QQ.coerce(int(tok) if tok.isdigit() else Fraction(tok))
+            return RAT(int(tok) if tok.isdigit() else tok)
         if tok in self.gens:
             return self.gens[tok]
         if tok == "(":
@@ -161,7 +160,7 @@ def parse_point(field, s: str):
         return INF
     gens = {} if isinstance(field, RationalField) else dict.fromkeys("tT", Poly(QQ, [0, 1]))
     v = _ExprParser(gens, _tokenize(s)).parse()
-    return field.element(*v.int_form()) if isinstance(v, Poly) else v
+    return field.element(v.ints, v.den) if isinstance(v, Poly) else v
 
 
 def parse_poly(s: str) -> Poly:
@@ -242,7 +241,7 @@ _STEP_KEYS = ("support", "exponents", "num", "den", "ram", "out")
 def parse_support(text: str) -> tuple:
     """A belyi support: at most MAX_BELYI_SUPPORT_SIZE rationals under
     the `check_digits` bound, separated by commas or spaces.  An entry in
-    exponent form is refused: Fraction() reads 1e100000 as a number of
+    exponent form is refused: RAT() reads 1e100000 as a number of
     100 001 digits, which the digit bound does not see."""
     entries = [check_digits(q) for q in text.replace(",", " ").split()]
     if len(entries) > MAX_BELYI_SUPPORT_SIZE:
@@ -251,7 +250,7 @@ def parse_support(text: str) -> tuple:
         if "e" in q or "E" in q:
             raise ManifestError(f"support entry {excerpt(q)!r} is in exponent form")
     try:
-        return tuple(Fraction(q) for q in entries)
+        return tuple(RAT(q) for q in entries)
     except (ValueError, ZeroDivisionError):
         raise ManifestError(f"bad rational list {excerpt(text)!r}") from None
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional
 
-from .exact import excerpt, factor_int
+from .exact import check_digits, excerpt, factor_int, parse_int
 
 STORE_HEADER = "ramcalc-rules 1"
 DEFAULT_BOUND = 64
@@ -93,7 +93,10 @@ class NodePattern:
             return NodePattern("divisor")
         if m.group(3):
             return NodePattern("monomial", coeff=1)
-        coeff = int(m.group(1))
+        try:
+            coeff = parse_int(m.group(1))
+        except ValueError as exc:
+            raise StoreFormatError(str(exc)) from None
         if coeff == 0:
             raise StoreFormatError(f"bad node pattern {excerpt(s)!r}: coefficient must be >= 1")
         if m.group(2):
@@ -131,7 +134,7 @@ class EdgeRule:
         for label, value in (("rule id", self.rule_id), ("provenance", self.provenance)):
             if not re.fullmatch(r"\S+", value):
                 raise ValueError(f"{label} {value!r} is not one nonempty token without spaces")
-        if not _COND_RE.match(self.condition):
+        if not _COND_RE.match(check_digits(self.condition)):
             raise ValueError(f"unsupported side condition {self.condition!r}")
         if self.source.form == "divisor" and not (
             self.target.form == "monomial" and self.target.coeff == 1
@@ -653,7 +656,7 @@ _RULE_LINE_RE = re.compile(
 def _parse_rule_line(line: str):
     m = _RULE_LINE_RE.match(line.strip())
     if not m:
-        raise StoreFormatError(f"bad rule line: {line!r}")
+        raise StoreFormatError(f"bad rule line: {excerpt(line)!r}")
     rule = EdgeRule(
         rule_id=m.group("id"),
         source=NodePattern.parse(m.group("src")),

@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 from .exact import (
     NumberFieldElement,
     Poly,
-    QQ,
+    RAT,
     _derivative_ints,
     _evaluator,
     _order_ints,
@@ -83,12 +83,8 @@ class RationalMap:
             if g.degree > 0:
                 numerator = numerator // g
                 denominator = denominator // g
-        lc = denominator.lc
-        if lc != 1:
-            numerator = numerator * (1 / lc)
-            denominator = denominator.monic()
-        self.num = numerator
-        self.den = denominator
+        self.num = numerator * (1 / denominator.lc)
+        self.den = denominator.monic()
         if self.degree < 1:
             raise ValueError("constant map is not a morphism of the line")
 
@@ -116,7 +112,7 @@ class RationalMap:
             if dn > dd:
                 return INF
             if dn < dd:
-                return QQ.zero
+                return RAT(0)
             return self.num.lc / self.den.lc
         q = self.den(x)
         if not q:
@@ -136,13 +132,13 @@ class RationalMap:
         power of the denominators and compare as integers.
         """
         d = self.degree
-        p, q = (list(poly.int_form()[0]) + [0] * (d - poly.degree) for poly in (self.num, self.den))
+        p, q = (list(poly.ints) + [0] * (d - poly.degree) for poly in (self.num, self.den))
         if is_inf(x):
             if self.den.degree == 0:
                 # polynomial map: infinity is totally ramified over itself
                 return d
             # move x to 0 by z -> 1/z on the source: z^d P(1/z), z^d Q(1/z)
-            p, q, x = p[::-1], q[::-1], QQ.zero
+            p, q, x = p[::-1], q[::-1], RAT(0)
         ev, mul, _ = _evaluator(x)
         q0 = ev(q)
         if not any(q0):
@@ -315,7 +311,7 @@ def _belyi_step(step):
 
     def move(pt):
         if is_inf(pt):
-            return QQ.one, k - 1
+            return RAT(1), k - 1
         if isinstance(pt, NumberFieldElement):
             raise VerificationError(f"step {step.name}: belyi-form step needs rational points, got {pt}")
         r = support.get(pt)
@@ -324,9 +320,9 @@ def _belyi_step(step):
                 f"step {step.name}: tracked point {pt} outside the belyi support"
             )
         if r > 0:
-            return QQ.zero, r
+            return RAT(0), r
         return INF, -r
 
-    branch = [(QQ.zero if r > 0 else INF, abs(r)) for r in t.exponents]
-    branch.append((QQ.one, k - 1))
+    branch = [(RAT(0) if r > 0 else INF, abs(r)) for r in t.exponents]
+    branch.append((RAT(1), k - 1))
     return move, branch, f"belyi-form step of degree {t.degree} (not expanded)"

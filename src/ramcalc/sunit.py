@@ -19,6 +19,10 @@ from .exact import excerpt, prime_list
 # `smooth_enum` stops past this many values: 10^6 take 1.6-1.9 s on a
 # 2-vCPU host
 MAX_SMOOTH_VALUES = 10 ** 6
+# the largest height `smooth_enum` enumerates to (`thm26_family` goes to
+# twice its height): each listed value then has at most 19 digits, so
+# `sunit smooth` prints at most MAX_SMOOTH_VALUES of them, about 20 MB
+MAX_HEIGHT = 10 ** 18
 # the pair loops are quadratic in the smooth set: on a 2-vCPU host
 # `unit_equation_solutions` and `prop24_pairs` take about 0.8 s on 4 106
 # values and 2-3 s on 8 289, and `thm26_family` takes 0.7 s on 1 301
@@ -46,6 +50,8 @@ def smooth_enum(primes: Iterable[int], bound: int) -> SmoothSet:
     ps = _normalize_primes(primes)
     if bound < 1:
         raise ValueError("height bound must be >= 1")
+    if bound > MAX_HEIGHT:
+        raise ValueError(f"height bound {excerpt(str(bound))} is above {MAX_HEIGHT}")
     vals = {1}
     frontier = [1]
     while frontier:

@@ -44,8 +44,8 @@ def cube_root_of_two_field() -> NumberField:
 def element(K, coeffs):
     """The point sum_i coeffs[i] a^i of K for rationals coeffs, through
     the constructor every point takes."""
-    ints, den = Poly(QQ, coeffs).int_form()
-    return K.element(ints, den)
+    p = Poly(QQ, coeffs)
+    return K.element(p.ints, p.den)
 
 
 def point_poly(x) -> Poly:
@@ -64,15 +64,85 @@ def modulus(x) -> Poly:
 
 def horner_mod(p: Poly, x) -> Poly:
     """p(x) as a polynomial in the generator reduced mod `modulus(x)`:
-    Horner in `Poly` arithmetic, one product and one remainder per
-    coefficient.  An oracle that shares no code with the integer
-    kernels; the value is rational exactly when the result is a
+    Horner in the reference arithmetic below, one product and one
+    remainder per coefficient.  An oracle that shares no code with the
+    integer kernels; the value is rational exactly when the result is a
     constant."""
-    X, m = point_poly(x), modulus(x)
-    acc = Poly(QQ, [])
-    for c in reversed(p.coeffs):
-        acc = (acc * X + c) % m
+    X, m = ref(point_poly(x)), ref(modulus(x))
+    acc = []
+    for c in reversed(ref(p)):
+        acc = ref_divmod(ref_add(ref_mul(acc, X), [c]), m)[1]
+    return Poly(QQ, acc)
+
+
+# ---------------------------------------------------------------------------
+# reference polynomial arithmetic: lists of Fractions, constant term
+# first with no trailing zeros, one Fraction operation per coefficient
+# step; it shares no code with the integer kernels of `Poly`
+
+
+def ref(p: Poly) -> list:
+    """The coefficients of p as Fractions."""
+    return [Fraction(c) for c in p.coeffs]
+
+
+def _trim(cs: list) -> list:
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def ref_add(a: list, b: list) -> list:
+    n = max(len(a), len(b))
+    a, b = a + [Fraction(0)] * (n - len(a)), b + [Fraction(0)] * (n - len(b))
+    return _trim([x + y for x, y in zip(a, b)])
+
+
+def ref_mul(a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def ref_divmod(a: list, b: list):
+    """(quotient, remainder) of a by the nonzero b, long division over Q."""
+    rem = list(a)
+    dq = len(a) - len(b)
+    if dq < 0:
+        return [], rem
+    quot = [Fraction(0)] * (dq + 1)
+    for i in range(dq, -1, -1):
+        q = rem[i + len(b) - 1] / b[-1]
+        quot[i] = q
+        for j, c in enumerate(b):
+            rem[i + j] -= q * c
+    return _trim(quot), _trim(rem[:len(b) - 1])
+
+
+def ref_derivative(a: list) -> list:
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def ref_monic(a: list) -> list:
+    return [c / a[-1] for c in a]
+
+
+def ref_eval(a: list, x) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
     return acc
+
+
+def ref_gcd(a: list, b: list) -> list:
+    """Monic gcd by the textbook Euclidean loop; gcd(0, 0) = 0."""
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return ref_monic(a) if a else []
 
 
 def assert_point_form(x):

@@ -505,7 +505,12 @@ class TestMutantReports:
 
 class TestErrorLines:
     LONG = 100_000
+    NINES = "9" * 200_000
+    DATA = Path(ramcalc.__file__).parent / "data"
 
+    # an integer slot is read as text and refused by its digit count
+    # before int() runs, whose time is quadratic in the digits; {store}
+    # is a writable copy of the bundled rule store
     @pytest.mark.parametrize("argv", [
         ["contract", "$" * LONG],
         ["contract", "z" * LONG],
@@ -515,9 +520,23 @@ class TestErrorLines:
         ["belyi", "exponents", "x" * LONG],
         ["relation", "query", "C(" + "1" * LONG + ")", "C(4)"],
         ["relation", "query", "Q" * LONG + "$", "C(4)"],
+        ["relation", "query", "C(1)", "C(2)", "--bound", NINES],
+        ["verify", str(DATA / "prop6.cert"), "--param", "n=" + NINES],
+        ["relation", "add", "--store", "{store}", "--id", "r", "--source", "C(" + NINES + "n)",
+         "--target", "C(n)", "--kind", "axiom", "--provenance", "p"],
+        ["relation", "query", "C(" + NINES + "n)", "C(2)"],
+        ["sunit", "smooth", "--primes", "2", "--height", NINES],
+        ["belyi", "search", "--k", NINES, "--primes", "2", "--box", "10"],
+        ["contract", "z^2-2", "--height-cap", NINES],
+        ["genus", NINES],
     ], ids=["contract-character", "contract-token", "contract-tail", "sunit-list",
-            "sunit-prime", "belyi-list", "relation-level", "relation-pattern"])
-    def test_long_argument_gives_short_error_line(self, capsys, argv):
+            "sunit-prime", "belyi-list", "relation-level", "relation-pattern", "relation-bound",
+            "verify-param", "store-coefficient", "pattern-coefficient", "sunit-height",
+            "belyi-k", "contract-height-cap", "genus-index"])
+    def test_long_argument_gives_short_error_line(self, capsys, tmp_path, argv):
+        store = tmp_path / "rules.store"
+        store.write_text(bundled_text("rules.store"))
+        argv = [str(store) if a == "{store}" else a for a in argv]
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -564,6 +583,14 @@ class TestErrorLines:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert len(err.encode()) < 200
+
+    def test_long_store_coefficient_gives_short_error_line(self, capsys, tmp_path):
+        rule = f"rule r kind=axiom source=C({self.NINES}n) target=C(n) cond=n>=1 provenance=p"
+        p = tmp_path / "long.store"
+        p.write_text(f"ramcalc-rules 1\n{rule} sha256={hashlib.sha256(rule.encode()).hexdigest()}\n")
+        code, out, err = run(capsys, "relation", "query", "C(1)", "C(2)", "--store", str(p))
+        assert (code, out) == (2, "")
+        assert err == f"error: number {excerpt(self.NINES)!r} has more than 4300 digits\n"
 
     def test_short_manifest_line_quoted_whole(self, capsys, tmp_path):
         p = tmp_path / "short.chain"
@@ -1292,6 +1319,19 @@ class TestSunitAndGenus:
     def test_genus_bad_arg(self, capsys):
         code, _, err = run(capsys, "genus", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("mode", ["smooth", "unit", "prop24", "family"])
+    @pytest.mark.parametrize("height", [str(10 ** 18 + 1), "9" * 2000])
+    def test_height_above_cap_exits_two(self, capsys, mode, height):
+        # 2 000 nines listed 6.65 MB of powers of 2 before the cap
+        code, out, err = run(capsys, "sunit", mode, "--primes", "2", "--height", height)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: height bound ") and err.count("\n") == 1
+        assert len(err.encode()) < 300
+
+    def test_height_at_cap_is_read(self, capsys):
+        code, out, _ = run(capsys, "sunit", "smooth", "--primes", "2", "--height", str(10 ** 18))
+        assert code == 0 and out.splitlines()[-1] == "count: 60"
 
     def test_genus_index_cap_exits_two(self, capsys):
         code, out, err = run(capsys, "genus", "100001")

@@ -5,6 +5,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,14 @@ from helpers import (
     horner_mod,
     modulus,
     point_poly,
+    ref,
+    ref_add,
+    ref_derivative,
+    ref_divmod,
+    ref_eval,
+    ref_gcd,
+    ref_monic,
+    ref_mul,
 )
 
 small_rationals = st.fractions(
@@ -121,19 +130,7 @@ class TestGcdAndSquarefree:
 
 
 def euclid_gcd(a, b):
-    """Reference: monic gcd by the textbook Euclidean loop in Fraction."""
-    a = [Fraction(c) for c in a.coeffs]
-    b = [Fraction(c) for c in b.coeffs]
-    while b:
-        while len(a) >= len(b):
-            q = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[i + shift] -= q * c
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
-    return Poly(QQ, [c / a[-1] for c in a])
+    return Poly(QQ, ref_gcd(ref(a), ref(b)))
 
 
 class TestIntegerGcdKernel:
@@ -160,7 +157,7 @@ class TestIntegerGcdKernel:
         shared = Poly(QQ, [-1, q])
         a = Poly(QQ, [0, 1]) * shared
         b = Poly(QQ, [1, 1]) * shared
-        assert _poly_gcd_degree_mod(list(a.int_form()[0]), list(b.int_form()[0]), q) == 0
+        assert _poly_gcd_degree_mod(list(a.ints), list(b.ints), q) == 0
         assert poly_gcd(a, b) == shared.monic()
 
     def test_every_prime_unlucky_forces_prs(self):
@@ -172,6 +169,85 @@ class TestIntegerGcdKernel:
         assert poly_gcd(z, Poly(QQ, [-n, 1])) == Poly(QQ, [1])
         shared = Poly(QQ, [Fraction(1, 3), 2, 1])
         assert poly_gcd(z * shared, Poly(QQ, [-n, 1]) * shared) == shared.monic()
+
+
+def reference_cases(rng):
+    """Seeded (a, b) pairs of Fraction lists with no trailing zeros: zero
+    and constants, negative leading coefficients, large coefficients and
+    denominators, and pairs with a planted common square factor."""
+    def coeff(big):
+        if big:
+            return Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 20))
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+    def poly(degree, big):
+        cs = [coeff(big) for _ in range(degree + 1)]
+        if cs:
+            cs[-1] = (cs[-1] or Fraction(1)) * rng.choice((1, -1))
+        return cs
+
+    yield [], []
+    yield [], [Fraction(3)]
+    yield [Fraction(-2)], [Fraction(5, 7)]
+    yield [Fraction(1, 3), Fraction(-5)], [Fraction(-10 ** 40, 3)]
+    for case in range(150):
+        a = poly(rng.randint(-1, 7), rng.random() < 0.3)
+        b = poly(rng.randint(0, 5), rng.random() < 0.5)
+        if case % 3 == 0:
+            c = poly(rng.randint(1, 3), rng.random() < 0.3)
+            a, b = ref_mul(ref_mul(c, c), a), ref_mul(c, b)
+        yield a, b
+
+
+class TestAgainstReference:
+    """`Poly` against the coefficient-wise Fraction arithmetic of
+    `helpers`, which shares no code with its integer kernels."""
+
+    def test_matches_reference_arithmetic(self):
+        def value(p):
+            # the stored form, then the value it stands for
+            assert type(p.ints) is tuple and (not p.ints or p.ints[-1]), p
+            assert p.den > 0 and gcd(p.den, *p.ints) == 1, p
+            return ref(p)
+
+        rng = random.Random(28)
+        for a, b in reference_cases(rng):
+            P, Q = Poly(QQ, a), Poly(QQ, b)
+            assert value(P) == a and value(Q) == b
+            assert value(P + Q) == ref_add(a, b)
+            assert value(P - Q) == ref_add(a, [-c for c in b])
+            assert value(P * Q) == ref_mul(a, b)
+            assert value(P ** 2) == ref_mul(a, a)
+            assert value(P.derivative()) == ref_derivative(a)
+            x = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            assert P(x) == ref_eval(a, x)
+            if a:
+                assert value(P.monic()) == ref_monic(a)
+                g = ref_gcd(a, ref_derivative(a))
+                sqf = ref_monic(a if len(g) <= 1 else ref_divmod(a, g)[0])
+                assert value(squarefree_part(P)) == sqf
+            if b:
+                q, r = divmod(P, Q)
+                assert (value(q), value(r)) == ref_divmod(a, b)
+            assert value(poly_gcd(P, Q)) == ref_gcd(a, b)
+
+    def test_integer_inputs_build_no_fraction(self, monkeypatch):
+        rng = random.Random(29)
+        polys = [Poly(QQ, [rng.randint(-10 ** 6, 10 ** 6) for _ in range(rng.randint(1, 9))])
+                 for _ in range(60)]
+        built = []
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        for a, b in zip(polys, polys[1:]):
+            a + b, a * b, divmod(a, b), a.derivative(), a.monic()
+        assert built == []
+        Fraction(1, 3)
+        assert built == [(1, 3)]
 
 
 def field_elements(field):
@@ -191,7 +267,7 @@ FIELD_IDS = ["zeta5", "zeta7", "cbrt2"]
 def vanishing_order(p, x):
     """Multiplicity of x as a root of the nonzero p, by the integer
     kernels that `RationalMap.local_index` uses."""
-    return _order_ints(p.int_form()[0], _evaluator(x)[0])
+    return _order_ints(p.ints, _evaluator(x)[0])
 
 
 def minimal_polynomial(x):
@@ -683,18 +759,27 @@ class TestEveryNameHasACaller:
         assert [label for label in uncalled_names(self.ROOT) if label.count(".") == 2] == []
 
 
+def importers(module: str) -> set:
+    """The files of the package that import module or a submodule of it."""
+    out = set()
+    for path in Path(ramcalc.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n == module or n.startswith(module + ".") for n in names):
+                out.add(path.name)
+    return out
+
+
 class TestSympyBridge:
     def test_only_exact_imports_sympy(self):
-        src = Path(ramcalc.__file__).parent
-        importers = set()
-        for path in src.glob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Import):
-                    names = [a.name for a in node.names]
-                elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                    names = [node.module or ""]
-                else:
-                    continue
-                if any(n == "sympy" or n.startswith("sympy.") for n in names):
-                    importers.add(path.name)
-        assert importers == {"exact.py"}
+        assert importers("sympy") == {"exact.py"}
+
+    def test_only_exact_imports_fractions(self):
+        # every other module takes its rationals as exact.RAT, so a
+        # second backend changes one import
+        assert importers("fractions") == {"exact.py"}
